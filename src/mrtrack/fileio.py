@@ -85,8 +85,8 @@ def load_detection_file(
 ) -> dict[str, list[FramePacket]]:
     """Parse a detection file into per-sequence frame packets.
 
-    Confidences are clamped to [0, 1 - epsilon]; frame indices must be
-    strictly increasing within each sequence.
+    Confidences are clamped to [0, 1 - epsilon]; boxes must have a positive
+    height; frame indices must be strictly increasing within each sequence.
     """
     sequences: dict[str, list[FramePacket]] = {}
     for lineno, record in _record_lines(path):
@@ -103,6 +103,11 @@ def load_detection_file(
         dets = []
         for entry in _require(record, "detections", path, lineno):
             bbox = _as_bbox(_require(entry, "bbox", path, lineno), path, lineno)
+            if bbox.height <= 0.0:
+                raise ValidationError(
+                    f"{path}:{lineno}: zero-height box {bbox.as_tuple()}: the "
+                    "motion filter needs a positive height"
+                )
             cls = _require(entry, "class", path, lineno)
             conf = _require(entry, "conf", path, lineno)
             try:

@@ -91,10 +91,6 @@ class TrackerState:
     frame_index: int = -1
     removed_count: int = 0
 
-    @classmethod
-    def initial(cls) -> "TrackerState":
-        return cls()
-
 
 def _apply_match(
     track: Track,
@@ -208,7 +204,7 @@ def run_sequence(
     kf_params: KalmanParams = DEFAULT_PARAMS,
 ) -> tuple[TrackerState, dict[int, list[TrackOutput]]]:
     """Track a whole sequence; returns final state and outputs per frame."""
-    state = TrackerState.initial()
+    state = TrackerState()
     outputs: dict[int, list[TrackOutput]] = {}
     for frame in frames:
         state, outs = step(

@@ -6,6 +6,8 @@ separate from the production code paths they check.
 
 from itertools import permutations
 
+import numpy as np
+
 
 def brute_force_assignment_value(matrix, tau):
     """Maximum total IoU over all gated one-to-one assignments.
@@ -65,3 +67,50 @@ def f1_sweep_oracle(dets_by_frame, gts_by_frame, grid, evaluate_fn):
         if f1 >= best_f1:
             best_thr, best_f1 = thr, f1
     return best_thr, best_f1
+
+
+# Constant-velocity Kalman filter written as one 8x8 linear system over
+# (cx, cy, a, h, vcx, vcy, va, vh): the reference for mrtrack.kalman, which
+# runs the same filter as four 2-state blocks.
+_F8 = np.eye(8)
+for _i in range(4):
+    _F8[_i, 4 + _i] = 1.0
+_H8 = np.eye(4, 8)
+
+
+def _cxcyah(box):
+    x1, y1, x2, y2 = box
+    h = y2 - y1
+    if h <= 0.0:
+        raise ValueError(f"degenerate box with zero height: {box}")
+    return np.array([(x1 + x2) / 2.0, (y1 + y2) / 2.0, (x2 - x1) / h, h])
+
+
+def kf8_init(box, ps=1.0 / 20):
+    """(mean, covariance) of a filter started at a corner box, zero velocity."""
+    z = _cxcyah(box)
+    h = z[3]
+    pos_std = np.array([2 * ps * h, 2 * ps * h, 1e-2, 2 * ps * h])
+    std = np.concatenate([pos_std, 10.0 * pos_std])
+    return np.concatenate([z, np.zeros(4)]), np.diag(np.square(std))
+
+
+def kf8_predict(mean, cov, ps=1.0 / 20, vs=1.0 / 160):
+    """One constant-velocity frame: F x and F P F^T + Q, symmetrised."""
+    h = mean[3]
+    std = np.array([ps * h, ps * h, 1e-2, ps * h, vs * h, vs * h, 1e-5, vs * h])
+    cov = _F8 @ cov @ _F8.T + np.diag(np.square(std))
+    return _F8 @ mean, (cov + cov.T) / 2.0
+
+
+def kf8_update(mean, cov, box, ps=1.0 / 20):
+    """Correct the observed position with a corner box; Joseph-form covariance."""
+    z = _cxcyah(box)
+    h = mean[3]
+    meas_cov = np.diag(np.square([ps * h, ps * h, 1e-1, ps * h]))
+    projected = _H8 @ cov @ _H8.T + meas_cov
+    gain = np.linalg.solve(projected.T, (cov @ _H8.T).T).T
+    mean = mean + gain @ (z - _H8 @ mean)
+    ikh = np.eye(8) - gain @ _H8
+    cov = ikh @ cov @ ikh.T + gain @ meas_cov @ gain.T
+    return mean, (cov + cov.T) / 2.0

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mrtrack.association import iou_matrix, match
-from mrtrack.core import BBox, Detection
+from mrtrack.core import BBox, Detection, iou
 from mrtrack.tracks import Track
 
 from oracles import brute_force_assignment_value
@@ -38,6 +40,49 @@ class TestIouMatrix:
     def test_partial_overlap_entry(self):
         m = iou_matrix([_det(0, 0, 10, 10)], [_track(5, 5, 15, 15)])
         assert m[0, 0] == pytest.approx(25 / 175, abs=1e-9)
+
+
+def _track_at(cx, cy, a, h, track_id=0):
+    """A track whose Kalman mean is (cx, cy, a, h); h <= 0 or a <= 0 is allowed."""
+    t = _track(0, 0, 1, 1, track_id)
+    t.kf_state = replace(t.kf_state, mean=(cx, cy, a, h, 0.0, 0.0, 0.0, 0.0))
+    return t
+
+
+# small integer grid so identical, touching and disjoint boxes are common
+_coord = st.one_of(st.integers(0, 12).map(float), st.floats(-50, 50))
+_extent = st.one_of(st.just(0.0), st.integers(0, 6).map(float), st.floats(0, 30))
+_dets = st.lists(
+    st.builds(lambda x, y, w, h: _det(x, y, x + w, y + h), _coord, _coord, _extent, _extent),
+    max_size=6,
+)
+_track_means = st.lists(
+    st.tuples(
+        _coord,
+        _coord,
+        st.one_of(st.just(0.0), st.floats(-1, 3)),  # aspect <= 0 gives zero width
+        st.one_of(st.just(0.0), st.floats(-5, 30)),  # height <= 0 gives zero area
+    ),
+    max_size=6,
+)
+
+
+class TestIouMatrixEqualsScalarIou:
+    @settings(max_examples=300, deadline=None)
+    @given(_dets, _track_means)
+    @example([_det(0, 0, 10, 10), _det(50, 50, 60, 60)], [(5.0, 5.0, 1.0, 10.0)])
+    @example([_det(0, 0, 0, 10), _det(3, 3, 3, 3)], [(0.0, 5.0, 0.0, 10.0), (3.0, 3.0, 1.0, 0.0)])
+    @example([], [(5.0, 5.0, 1.0, 10.0)])
+    @example([_det(0, 0, 10, 10)], [])
+    def test_bit_identical_to_scalar_loop(self, dets, means):
+        tracks = [_track_at(*m, track_id=i) for i, m in enumerate(means)]
+        want = np.array(
+            [[iou(d.bbox, t.current_box()) for t in tracks] for d in dets]
+        ).reshape(len(dets), len(tracks))
+        got = iou_matrix(dets, tracks)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestMatch:

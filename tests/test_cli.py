@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mrtrack
 from mrtrack.cli import EXIT_OK, EXIT_PARSE, EXIT_SUITE, EXIT_VALIDATION, main
 from mrtrack.core import BBox, Detection, FramePacket
 from mrtrack.fileio import (
@@ -14,6 +19,16 @@ from mrtrack.evaluation import GroundTruthFrame
 from mrtrack.synth import profile_scenario
 
 FULL = (320, 320)
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's mrtrack."""
+    src = str(Path(mrtrack.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def _cv_packets(n=15, res=FULL, conf=0.9):
@@ -94,6 +109,27 @@ class TestTrackCommand:
                    "--out", str(tmp_path / "t.jsonl")])
         assert rc == EXIT_PARSE
         assert ":1" in capsys.readouterr().err
+
+    def test_zero_height_box_is_validation_error(self, tmp_path):
+        dets = tmp_path / "dets.jsonl"
+        save_detection_file(dets, {"s": _cv_packets(n=1)})
+        record = json.loads(dets.read_text())
+        record["frame"] = 1
+        record["detections"][0]["bbox"] = [10, 10, 20, 10]
+        with open(dets, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        proc = _python("-m", "mrtrack", "track", str(dets), "--preset", "nanodet",
+                       "--out", str(tmp_path / "t.jsonl"))
+        assert proc.returncode == EXIT_VALIDATION
+        assert f"{dets}:2:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestStartup:
+    def test_cli_import_does_not_load_scipy(self):
+        proc = _python("-c", "import sys, mrtrack.cli; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestEvalCommand:

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrtrack.core import BBox
 from mrtrack.kalman import (
@@ -9,6 +13,8 @@ from mrtrack.kalman import (
     kf_update,
     state_bbox,
 )
+
+from oracles import kf8_init, kf8_predict, kf8_update
 
 
 def _center(b: BBox) -> tuple[float, float]:
@@ -46,11 +52,7 @@ class TestInit:
 
 class TestPredict:
     def test_constant_velocity_step(self):
-        s = kf_init(BBox(0, 0, 10, 20))
-        s = type(s)(
-            mean=np.array([5.0, 10, 0.5, 20, 1, 0, 0, 0]),
-            covariance=s.covariance,
-        )
+        s = replace(kf_init(BBox(0, 0, 10, 20)), mean=(5.0, 10, 0.5, 20, 1, 0, 0, 0))
         p = kf_predict(s)
         np.testing.assert_allclose(p.mean[:4], [6, 10, 0.5, 20])
 
@@ -139,3 +141,36 @@ class TestConstantVelocityTracking:
             for a, b in zip(errs[2:], errs[3:]):
                 assert b <= a + 1e-9
             assert errs[9] < 0.5
+
+
+_boxes = st.builds(
+    lambda x, y, w, h: BBox(x, y, x + w, y + h),
+    st.floats(-100, 600),
+    st.floats(-100, 600),
+    st.floats(0, 120),  # zero width is a valid measurement
+    st.floats(1, 120),
+)
+# an int is a run of that many coasting predicts, a box is one update
+_ops = st.lists(st.one_of(st.integers(1, 30), _boxes), max_size=12)
+
+
+class TestBlockFilterMatchesReference:
+    """The four 2-state blocks against the 8x8 filter in oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_boxes, _ops)
+    @example(BBox(10, 10, 50, 90), [BBox(14, 12, 54, 90), 25, BBox(70, 20, 110, 100)])
+    @example(BBox(0, 0, 0, 30), [40, 3, BBox(5, 5, 5, 40), 1])
+    def test_interleavings_match_8x8_filter(self, first, ops):
+        s = kf_init(first)
+        mean, cov = kf8_init(first.as_tuple())
+        for op in ops:
+            if isinstance(op, int):
+                for _ in range(op):
+                    s = kf_predict(s)
+                    mean, cov = kf8_predict(mean, cov)
+            else:
+                s = kf_update(s, op)
+                mean, cov = kf8_update(mean, cov, op.as_tuple())
+            np.testing.assert_allclose(s.mean, mean, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(s.covariance, cov, rtol=1e-9, atol=1e-9)

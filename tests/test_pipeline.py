@@ -89,34 +89,34 @@ class TestMeanMac:
 
 class TestStepLifecycle:
     def test_first_detection_creates_tentative_no_output(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         state, outs = step(state, _packet(0, [_det(10, 10)]), TCFG, RCFG)
         assert outs == []
         assert len(state.active_tracks) == 1
         assert state.active_tracks[0].status is TrackStatus.TENTATIVE
 
     def test_second_consecutive_match_confirms(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         state, _ = step(state, _packet(0, [_det(10, 10)]), TCFG, RCFG)
         state, outs = step(state, _packet(1, [_det(10, 10)]), TCFG, RCFG)
         assert len(outs) == 1
         assert state.active_tracks[0].status is TrackStatus.CONFIRMED
 
     def test_low_conf_detection_never_creates_track(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         state, outs = step(state, _packet(0, [_det(10, 10, conf=0.35)]), TCFG, RCFG)
         assert state.active_tracks == []
         assert outs == []
 
     def test_below_low_threshold_discarded(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         state, _ = step(state, _packet(0, [_det(10, 10)]), TCFG, RCFG)
         # conf 0.2 < low_threshold: cannot even extend the existing track
         state, _ = step(state, _packet(1, [_det(10, 10, conf=0.2)]), TCFG, RCFG)
         assert state.active_tracks == []  # tentative track died on the miss
 
     def test_second_pass_keeps_track_alive(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         for t in range(2):
             state, _ = step(state, _packet(t, [_det(10, 10)]), TCFG, RCFG)
         track_id = state.active_tracks[0].track_id
@@ -126,7 +126,7 @@ class TestStepLifecycle:
         assert state.active_tracks[0].frames_since_update == 0
 
     def test_confirmed_track_removed_after_tau_dead_misses(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         for t in range(2):
             state, _ = step(state, _packet(t, [_det(10, 10)]), TCFG, RCFG)
         for t in range(2, 6):
@@ -137,28 +137,28 @@ class TestStepLifecycle:
         assert state.removed_count == 1
 
     def test_tentative_track_dies_on_single_miss(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         state, _ = step(state, _packet(0, [_det(10, 10)]), TCFG, RCFG)
         state, _ = step(state, _packet(1, []), TCFG, RCFG)
         assert state.active_tracks == []
 
     def test_out_of_order_frame_rejected(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         state, _ = step(state, _packet(0, [_det(10, 10)]), TCFG, RCFG)
         with pytest.raises(ValueError):
             step(state, _packet(5, []), TCFG, RCFG)
         with pytest.raises(ValueError):
-            step(TrackerState.initial(), _packet(3, []), TCFG, RCFG)
+            step(TrackerState(), _packet(3, []), TCFG, RCFG)
 
     def test_no_output_for_coasted_by_default(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         for t in range(2):
             state, _ = step(state, _packet(t, [_det(10, 10)]), TCFG, RCFG)
         state, outs = step(state, _packet(2, []), TCFG, RCFG)
         assert outs == []
 
     def test_emit_coasted_outputs_predicted_box(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         for t in range(2):
             state, _ = step(state, _packet(t, [_det(10 + 5 * t, 10)]), TCFG, RCFG)
         state, outs = step(state, _packet(2, []), TCFG, RCFG, emit_coasted=True)
@@ -169,7 +169,7 @@ class TestStepLifecycle:
 
 class TestStepTracking:
     def test_id_stability_on_linear_motion(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         ids = set()
         for t in range(30):
             state, outs = step(
@@ -179,7 +179,7 @@ class TestStepTracking:
         assert len(ids) == 1
 
     def test_two_objects_keep_distinct_ids(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         per_frame = []
         for t in range(20):
             dets = [_det(10 + 3 * t, 10), _det(200 - 3 * t, 200)]
@@ -189,7 +189,7 @@ class TestStepTracking:
         assert len(per_frame[-1]) == 2
 
     def test_noiseless_boxes_reproduced_within_tolerance(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         worst = 0.0
         for t in range(20):
             box = BBox(10 + 4 * t, 20 + 2 * t, 70 + 4 * t, 100 + 2 * t)
@@ -207,7 +207,7 @@ class TestStepTracking:
         assert worst < 0.5
 
     def test_rescore_applied_on_match(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         state, _ = step(state, _packet(0, [_det(10, 10, cls=1, conf=0.6)]), TCFG, RCFG)
         state, _ = step(state, _packet(1, [_det(10, 10, cls=1, conf=0.5)]), TCFG, RCFG)
         track = state.active_tracks[0]
@@ -215,7 +215,7 @@ class TestStepTracking:
         assert track.conf == pytest.approx(0.55)
 
     def test_naive_mode_adopts_latest_detection(self):
-        state = TrackerState.initial()
+        state = TrackerState()
         state, _ = step(
             state, _packet(0, [_det(10, 10, cls=1, conf=0.6)]), TCFG, RCFG,
             rescore_enabled=False,
