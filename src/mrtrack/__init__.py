@@ -29,7 +29,7 @@ from .evaluation import (
     f1_max_threshold,
     match_frame,
 )
-from .kalman import KalmanParams, KalmanState, kf_init, kf_predict, kf_update
+from .kalman import KalmanState, kf_init, kf_predict, kf_update
 from .linattn import (
     AttentionInput,
     OpCounter,
@@ -61,7 +61,6 @@ __all__ = [
     "Detection",
     "FramePacket",
     "GroundTruthFrame",
-    "KalmanParams",
     "KalmanState",
     "MacSummary",
     "MatchResult",

@@ -164,24 +164,26 @@ def cmd_track(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_with_mode(
-    dets: dict, gts: dict, mode: tuple[str, float | None], grid_step: float
-) -> MetricsReport:
-    kind, value = mode
-    if kind == "fixed":
-        return evaluate(dets, gts, value)
-    _, report = f1_max_threshold(dets, gts, grid_step)
-    return report
+def _f1_max(
+    dets: dict, gts: dict, grid_step: float, gt_path: str
+) -> tuple[float, MetricsReport]:
+    """F1-max threshold sweep; undefined without ground-truth objects."""
+    if not any(gts.values()):
+        raise ValidationError(
+            f"{gt_path}: no ground-truth objects, so the F1-max threshold is "
+            "undefined; pass --threshold fixed:<value>"
+        )
+    return f1_max_threshold(dets, gts, grid_step)
 
 
 def cmd_eval(args) -> int:
-    with open(args.predictions, "r", encoding="utf-8") as fh:
-        first = ""
+    with open(args.predictions, "rb") as fh:
+        first = b""
         for line in fh:
             if line.strip():
                 first = line
                 break
-    if '"tracks"' in first:
+    if b'"tracks"' in first:
         track_data = load_track_file(args.predictions)
         dets = _tracks_for_eval(track_data)
         pred_ids = track_data.keys()
@@ -192,9 +194,12 @@ def cmd_eval(args) -> int:
 
     gt_data = load_groundtruth_file(args.groundtruth)
     _check_sequences_covered(pred_ids, gt_data.keys())
-    report = _evaluate_with_mode(
-        dets, _gt_for_eval(gt_data), args.threshold, args.grid_step
-    )
+    gts = _gt_for_eval(gt_data)
+    kind, value = args.threshold
+    if kind == "fixed":
+        report = evaluate(dets, gts, value)
+    else:
+        _, report = _f1_max(dets, gts, args.grid_step, args.groundtruth)
     print(render_report(report))
     if args.out:
         import json
@@ -244,7 +249,7 @@ def cmd_sweep(args) -> int:
     if kind == "fixed":
         baseline_thr = value
     else:
-        baseline_thr, _ = f1_max_threshold(full_dets, gts, args.grid_step)
+        baseline_thr, _ = _f1_max(full_dets, gts, args.grid_step, args.gt)
 
     rows = []
     for P in args.P_values:

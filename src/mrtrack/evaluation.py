@@ -60,9 +60,7 @@ class MetricsReport:
 
 
 def match_frame_flags(
-    dets: Sequence[Detection],
-    gts: Sequence[GtObject],
-    iou_gate: float = IOU_GATE,
+    dets: Sequence[Detection], gts: Sequence[GtObject]
 ) -> list[bool]:
     """TP flag per detection (in the given order); each GT claimed once."""
     used = [False] * len(gts)
@@ -75,7 +73,7 @@ def match_frame_flags(
             v = iou(d.bbox, gbox)
             if v > best:
                 best, best_j = v, j
-        if best_j >= 0 and best > iou_gate:
+        if best_j >= 0 and best > IOU_GATE:
             used[best_j] = True
             flags.append(True)
         else:
@@ -84,16 +82,14 @@ def match_frame_flags(
 
 
 def match_frame(
-    dets: Sequence[Detection],
-    gts: Sequence[GtObject],
-    iou_gate: float = IOU_GATE,
+    dets: Sequence[Detection], gts: Sequence[GtObject]
 ) -> tuple[list[Detection], list[Detection], int]:
     """Split one frame's detections into (true positives, false positives, FN count).
 
     Detections must be pre-sorted by descending confidence; matching is
     greedy in that order.
     """
-    flags = match_frame_flags(dets, gts, iou_gate)
+    flags = match_frame_flags(dets, gts)
     tp = [d for d, f in zip(dets, flags) if f]
     fp = [d for d, f in zip(dets, flags) if not f]
     fn = len(gts) - len(tp)
@@ -127,7 +123,6 @@ def evaluate(
     dets_by_frame: Mapping[FrameKey, Sequence[Detection]],
     gts_by_frame: Mapping[FrameKey, Sequence[GtObject]],
     threshold: float = 0.0,
-    iou_gate: float = IOU_GATE,
 ) -> MetricsReport:
     """Score a detection corpus against ground truth at a fixed threshold.
 
@@ -146,7 +141,7 @@ def evaluate(
         dets = _sorted_dets(
             [d for d in dets_by_frame.get(key, ()) if d.conf >= threshold]
         )
-        flags = match_frame_flags(dets, gts, iou_gate)
+        flags = match_frame_flags(dets, gts)
         for rank, (d, f) in enumerate(zip(dets, flags)):
             records.setdefault(d.class_id, []).append((d.conf, key, rank, f))
 

@@ -1,11 +1,13 @@
 """File formats and run configuration.
 
 Detections, tracks, and ground truth are newline-delimited JSON, one record
-per frame. Detection coordinates on disk live in the tagged inference
-resolution; loading clamps confidences to [0, 1 - epsilon] but keeps
-coordinates untouched (the tracking commands rescale to native resolution
-themselves). Run configuration is a single YAML document with optional
-preset inheritance.
+per frame, read and written by one record codec: the three formats differ
+only in their header fields, their entries key and their entry parsers.
+Detection coordinates on disk live in the tagged inference resolution;
+loading clamps confidences to [0, 1 - epsilon] but keeps coordinates
+untouched (the tracking commands rescale to native resolution themselves).
+Run configuration is a single YAML document with optional preset
+inheritance.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import yaml
 
@@ -41,43 +43,123 @@ class ValidationError(Exception):
     """Well-formed input that violates a semantic contract."""
 
 
-def _record_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
+# Field parsers over json.loads output, whose values have exact built-in
+# types (``type(v) is int`` excludes bool). The reader adds path:line.
+_NUMBERS = frozenset((int, float))
+
+
+def _field(obj: dict, key: str):
+    if key not in obj:
+        raise FileFormatError(f"missing field {key!r}")
+    return obj[key]
+
+
+def _object(value, what: str) -> dict:
+    if type(value) is not dict:
+        raise FileFormatError(f"{what} is not an object: {value!r}")
+    return value
+
+
+def _index(value, what: str) -> int:
+    """Frame index, class or track id: a non-negative integer."""
+    if type(value) is not int or value < 0:
+        raise FileFormatError(f"bad {what} {value!r}: need a non-negative integer")
+    return value
+
+
+def _resolution(value, what: str) -> Resolution:
+    pair = type(value) is list and len(value) == 2
+    if not pair or not all(type(v) is int and v > 0 for v in value):
+        raise FileFormatError(f"bad {what} {value!r}: need two positive integers")
+    return (value[0], value[1])
+
+
+def _bbox(value) -> BBox:
+    try:
+        if type(value) is not list or len(value) != 4:
+            raise ValueError("need 4 coordinates")
+        if not _NUMBERS.issuperset(map(type, value)):
+            raise ValueError("coordinates must be numbers")
+        return BBox(*map(float, value))
+    except (ValueError, OverflowError) as exc:
+        raise FileFormatError(f"bad bbox {value!r}: {exc}") from None
+
+
+def _conf(value) -> float:
+    if type(value) not in _NUMBERS or not 0.0 <= value <= 1.0:
+        raise FileFormatError(f"bad confidence {value!r}: need a number in [0, 1]")
+    return float(value)
+
+
+class _Format(NamedTuple):
+    """A record format: its entries key and its header (resolution) fields."""
+
+    entries: str
+    header: tuple[str, ...] = ()
+
+
+_DETECTIONS = _Format("detections", ("inference_resolution", "native_resolution"))
+_TRACKS = _Format("tracks")
+_GROUNDTRUTH = _Format("objects")
+
+# sequence -> records in file order, each (frame, header resolutions, entries)
+_Records = dict[str, list[tuple[int, tuple[Resolution, ...], Sequence]]]
+
+
+def _read_records(
+    path: str | Path, fmt: _Format, parse_entry: Callable[[dict], object]
+) -> _Records:
+    """The one JSONL reader: every failure names ``path:line``.
+
+    Structure and field errors raise FileFormatError; frames not strictly
+    increasing within a sequence raise ValidationError, as does whatever
+    ``parse_entry`` raises as one.
+    """
+    sequences: _Records = {}
+    # bytes in, so json.loads decodes each line and a bad byte names its line
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise FileFormatError(f"{path}:{lineno}: record is not an object")
-            yield lineno, record
+                record = _object(json.loads(line), "record")
+                seq = _field(record, "sequence_id")
+                if type(seq) is not str:
+                    raise FileFormatError(f"bad sequence_id {seq!r}: need a string")
+                frame = _index(_field(record, "frame"), "frame index")
+                header = tuple(_resolution(_field(record, k), k) for k in fmt.header)
+                entries = _field(record, fmt.entries)
+                if type(entries) is not list:
+                    raise FileFormatError(f"{fmt.entries!r} is not a list")
+                parsed = [parse_entry(_object(e, "entry")) for e in entries]
+                rows = sequences.setdefault(seq, [])
+                if rows and frame <= rows[-1][0]:
+                    raise ValidationError(
+                        f"sequence {seq!r} frame {frame} not increasing"
+                    )
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            except (FileFormatError, ValidationError) as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
+            rows.append((frame, header, parsed))
+    return sequences
 
 
-def _require(record: dict, key: str, path, lineno: int):
-    if key not in record:
-        raise FileFormatError(f"{path}:{lineno}: missing field {key!r}")
-    return record[key]
+def _write_records(
+    path: str | Path, fmt: _Format, sequences: _Records, dump_entry: Callable[..., dict]
+) -> None:
+    """The one JSONL writer: sequences sorted by id, records in list order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for seq in sorted(sequences):
+            for frame, header, entries in sequences[seq]:
+                record = {"sequence_id": seq, "frame": frame}
+                record.update((k, list(res)) for k, res in zip(fmt.header, header))
+                record[fmt.entries] = [dump_entry(e) for e in entries]
+                fh.write(json.dumps(record) + "\n")
 
 
-def _as_resolution(value, path, lineno: int) -> Resolution:
-    try:
-        w, h = int(value[0]), int(value[1])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise FileFormatError(f"{path}:{lineno}: bad resolution {value!r}") from exc
-    return (w, h)
-
-
-def _as_bbox(value, path, lineno: int) -> BBox:
-    try:
-        coords = [float(v) for v in value]
-        if len(coords) != 4:
-            raise ValueError("need 4 coordinates")
-        return BBox(*coords)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}:{lineno}: bad bbox {value!r}: {exc}") from exc
+def _box_list(b: BBox) -> list[float]:
+    return [float(v) for v in b.as_tuple()]
 
 
 def load_detection_file(
@@ -85,164 +167,94 @@ def load_detection_file(
 ) -> dict[str, list[FramePacket]]:
     """Parse a detection file into per-sequence frame packets.
 
-    Confidences are clamped to [0, 1 - epsilon]; boxes must have a positive
-    height; frame indices must be strictly increasing within each sequence.
+    Confidences are clamped to [0, 1 - epsilon]; a zero-height box is a
+    ValidationError because the motion filter needs a positive height.
     """
-    sequences: dict[str, list[FramePacket]] = {}
-    for lineno, record in _record_lines(path):
-        seq = str(_require(record, "sequence_id", path, lineno))
-        frame = _require(record, "frame", path, lineno)
-        if not isinstance(frame, int) or frame < 0:
-            raise FileFormatError(f"{path}:{lineno}: bad frame index {frame!r}")
-        inference = _as_resolution(
-            _require(record, "inference_resolution", path, lineno), path, lineno
-        )
-        native = _as_resolution(
-            _require(record, "native_resolution", path, lineno), path, lineno
-        )
-        dets = []
-        for entry in _require(record, "detections", path, lineno):
-            bbox = _as_bbox(_require(entry, "bbox", path, lineno), path, lineno)
-            if bbox.height <= 0.0:
-                raise ValidationError(
-                    f"{path}:{lineno}: zero-height box {bbox.as_tuple()}: the "
-                    "motion filter needs a positive height"
-                )
-            cls = _require(entry, "class", path, lineno)
-            conf = _require(entry, "conf", path, lineno)
-            try:
-                conf = float(conf)
-            except (TypeError, ValueError) as exc:
-                raise FileFormatError(
-                    f"{path}:{lineno}: bad confidence {conf!r}"
-                ) from exc
-            if not 0.0 <= conf <= 1.0:
-                raise FileFormatError(
-                    f"{path}:{lineno}: confidence {conf} out of [0, 1]"
-                )
-            dets.append(Detection(bbox, int(cls), clamp_conf(conf, epsilon)))
-        packets = sequences.setdefault(seq, [])
-        if packets and frame <= packets[-1].frame_index:
+
+    def entry(e: dict) -> Detection:
+        bbox = _bbox(_field(e, "bbox"))
+        if bbox.height <= 0.0:
             raise ValidationError(
-                f"{path}:{lineno}: sequence {seq!r} frame {frame} not increasing"
+                f"zero-height box {bbox.as_tuple()}: the motion filter needs a "
+                "positive height"
             )
-        packets.append(FramePacket(frame, inference, native, tuple(dets)))
-    return sequences
+        cls = _index(_field(e, "class"), "class")
+        return Detection(bbox, cls, clamp_conf(_conf(_field(e, "conf")), epsilon))
+
+    return {
+        seq: [FramePacket(f, *res, tuple(dets)) for f, res, dets in rows]
+        for seq, rows in _read_records(path, _DETECTIONS, entry).items()
+    }
 
 
 def save_detection_file(
     path: str | Path, sequences: Mapping[str, list[FramePacket]]
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for seq in sorted(sequences):
-            for packet in sequences[seq]:
-                record = {
-                    "sequence_id": seq,
-                    "frame": packet.frame_index,
-                    "inference_resolution": list(packet.inference_resolution),
-                    "native_resolution": list(packet.native_resolution),
-                    "detections": [
-                        {
-                            "bbox": [float(v) for v in d.bbox.as_tuple()],
-                            "class": d.class_id,
-                            "conf": float(d.conf),
-                        }
-                        for d in packet.detections
-                    ],
-                }
-                fh.write(json.dumps(record) + "\n")
+    def entry(d: Detection) -> dict:
+        return {"bbox": _box_list(d.bbox), "class": d.class_id, "conf": float(d.conf)}
+
+    records = {
+        seq: [
+            (p.frame_index, (p.inference_resolution, p.native_resolution), p.detections)
+            for p in packets
+        ]
+        for seq, packets in sequences.items()
+    }
+    _write_records(path, _DETECTIONS, records, entry)
 
 
-def load_track_file(
-    path: str | Path,
-) -> dict[str, dict[int, list[TrackOutput]]]:
+def load_track_file(path: str | Path) -> dict[str, dict[int, list[TrackOutput]]]:
     """Parse a track file into sequence -> frame -> emitted tracks."""
-    sequences: dict[str, dict[int, list[TrackOutput]]] = {}
-    for lineno, record in _record_lines(path):
-        seq = str(_require(record, "sequence_id", path, lineno))
-        frame = _require(record, "frame", path, lineno)
-        outs = []
-        for entry in _require(record, "tracks", path, lineno):
-            outs.append(
-                TrackOutput(
-                    track_id=int(_require(entry, "id", path, lineno)),
-                    bbox=_as_bbox(_require(entry, "bbox", path, lineno), path, lineno),
-                    class_id=int(_require(entry, "class", path, lineno)),
-                    conf=float(_require(entry, "conf", path, lineno)),
-                )
-            )
-        frames = sequences.setdefault(seq, {})
-        if frame in frames:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate frame {frame} in sequence {seq!r}"
-            )
-        frames[frame] = outs
-    return sequences
+
+    def entry(e: dict) -> TrackOutput:
+        return TrackOutput(
+            track_id=_index(_field(e, "id"), "track id"),
+            bbox=_bbox(_field(e, "bbox")),
+            class_id=_index(_field(e, "class"), "class"),
+            conf=_conf(_field(e, "conf")),
+        )
+
+    return {
+        seq: {frame: outs for frame, _, outs in rows}
+        for seq, rows in _read_records(path, _TRACKS, entry).items()
+    }
 
 
 def save_track_file(
     path: str | Path, sequences: Mapping[str, dict[int, list[TrackOutput]]]
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for seq in sorted(sequences):
-            for frame in sorted(sequences[seq]):
-                record = {
-                    "sequence_id": seq,
-                    "frame": frame,
-                    "tracks": [
-                        {
-                            "id": o.track_id,
-                            "bbox": [float(v) for v in o.bbox.as_tuple()],
-                            "class": o.class_id,
-                            "conf": float(o.conf),
-                        }
-                        for o in sequences[seq][frame]
-                    ],
-                }
-                fh.write(json.dumps(record) + "\n")
+    def entry(o: TrackOutput) -> dict:
+        return {"id": o.track_id, "bbox": _box_list(o.bbox),
+                "class": o.class_id, "conf": float(o.conf)}
+
+    records = {
+        seq: [(f, (), frames[f]) for f in sorted(frames)]
+        for seq, frames in sequences.items()
+    }
+    _write_records(path, _TRACKS, records, entry)
 
 
-def load_groundtruth_file(
-    path: str | Path,
-) -> dict[str, list[GroundTruthFrame]]:
-    sequences: dict[str, list[GroundTruthFrame]] = {}
-    for lineno, record in _record_lines(path):
-        seq = str(_require(record, "sequence_id", path, lineno))
-        frame = _require(record, "frame", path, lineno)
-        objects = tuple(
-            (
-                _as_bbox(_require(entry, "bbox", path, lineno), path, lineno),
-                int(_require(entry, "class", path, lineno)),
-            )
-            for entry in _require(record, "objects", path, lineno)
-        )
-        frames = sequences.setdefault(seq, [])
-        if frames and frame <= frames[-1].frame_index:
-            raise ValidationError(
-                f"{path}:{lineno}: sequence {seq!r} frame {frame} not increasing"
-            )
-        frames.append(GroundTruthFrame(frame, objects))
-    return sequences
+def load_groundtruth_file(path: str | Path) -> dict[str, list[GroundTruthFrame]]:
+    def entry(e: dict) -> tuple[BBox, int]:
+        return (_bbox(_field(e, "bbox")), _index(_field(e, "class"), "class"))
+
+    return {
+        seq: [GroundTruthFrame(f, tuple(objects)) for f, _, objects in rows]
+        for seq, rows in _read_records(path, _GROUNDTRUTH, entry).items()
+    }
 
 
 def save_groundtruth_file(
     path: str | Path, sequences: Mapping[str, list[GroundTruthFrame]]
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for seq in sorted(sequences):
-            for gt in sequences[seq]:
-                record = {
-                    "sequence_id": seq,
-                    "frame": gt.frame_index,
-                    "objects": [
-                        {
-                            "bbox": [float(v) for v in box.as_tuple()],
-                            "class": cls,
-                        }
-                        for box, cls in gt.objects
-                    ],
-                }
-                fh.write(json.dumps(record) + "\n")
+    def entry(obj: tuple[BBox, int]) -> dict:
+        return {"bbox": _box_list(obj[0]), "class": obj[1]}
+
+    records = {
+        seq: [(g.frame_index, (), g.objects) for g in frames]
+        for seq, frames in sequences.items()
+    }
+    _write_records(path, _GROUNDTRUTH, records, entry)
 
 
 @dataclass(frozen=True)

@@ -31,26 +31,15 @@ logger = logging.getLogger(__name__)
 
 Quad = tuple[float, float, float, float]
 
+# height-relative standard deviations (per unit of box height) of the
+# position channels and of the velocity channels
+_POSITION_NOISE_SCALE = 1.0 / 20
+_VELOCITY_NOISE_SCALE = 1.0 / 160
 # fixed standard deviations of the aspect channel (index 2)
 _ASPECT_INIT_STD = 1e-2
 _ASPECT_POS_NOISE_STD = 1e-2
 _ASPECT_VEL_NOISE_STD = 1e-5
 _ASPECT_MEAS_STD = 1e-1
-
-
-@dataclass(frozen=True)
-class KalmanParams:
-    """Height-relative noise scales (std dev per unit of box height)."""
-
-    position_noise_scale: float = 1.0 / 20
-    velocity_noise_scale: float = 1.0 / 160
-
-    def __post_init__(self) -> None:
-        if self.position_noise_scale <= 0 or self.velocity_noise_scale <= 0:
-            raise ValueError("noise scales must be positive")
-
-
-DEFAULT_PARAMS = KalmanParams()
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +68,7 @@ class KalmanState:
         return cov
 
 
-def kf_init(measurement: BBox, params: KalmanParams = DEFAULT_PARAMS) -> KalmanState:
+def kf_init(measurement: BBox) -> KalmanState:
     """Start a filter at a measured box, zero velocity.
 
     The initial velocity uncertainty is 10x the position uncertainty, so the
@@ -89,7 +78,7 @@ def kf_init(measurement: BBox, params: KalmanParams = DEFAULT_PARAMS) -> KalmanS
     cx, cy, a, h = bbox_to_cxcyah(measurement)
     if a == 0.0:
         logger.debug("zero-width measurement tolerated at init: %s", measurement)
-    p = 2 * params.position_noise_scale * h
+    p = 2 * _POSITION_NOISE_SCALE * h
     v = 10.0 * p
     va = 10.0 * _ASPECT_INIT_STD
     return KalmanState(
@@ -100,14 +89,14 @@ def kf_init(measurement: BBox, params: KalmanParams = DEFAULT_PARAMS) -> KalmanS
     )
 
 
-def kf_predict(s: KalmanState, params: KalmanParams = DEFAULT_PARAMS) -> KalmanState:
+def kf_predict(s: KalmanState) -> KalmanState:
     """Advance one frame under constant velocity; inflate covariance.
 
     Per block, F = [[1, 1], [0, 1]] gives P' = F P F^T + diag(q_p, q_v).
     """
     cx, cy, a, h, vcx, vcy, va, vh = s.mean
-    qp = params.position_noise_scale * h
-    qv = params.velocity_noise_scale * h
+    qp = _POSITION_NOISE_SCALE * h
+    qv = _VELOCITY_NOISE_SCALE * h
     qp, qv = qp * qp, qv * qv
     p0, p1, p2, p3 = s.var_p
     c0, c1, c2, c3 = s.cov_pv
@@ -145,9 +134,7 @@ def _update_block(
     )
 
 
-def kf_update(
-    s: KalmanState, measurement: BBox, params: KalmanParams = DEFAULT_PARAMS
-) -> KalmanState:
+def kf_update(s: KalmanState, measurement: BBox) -> KalmanState:
     """Correct the four observed components with a measured box.
 
     Per block, with innovation variance S = var_p + r and gain
@@ -159,7 +146,7 @@ def kf_update(
     z = bbox_to_cxcyah(measurement)
     if not all(map(math.isfinite, z)):
         raise ValueError(f"non-finite measurement: {measurement}")
-    r_std = params.position_noise_scale * s.mean[3]
+    r_std = _POSITION_NOISE_SCALE * s.mean[3]
     r_pos = r_std * r_std
     meas_var = (r_pos, r_pos, _ASPECT_MEAS_STD * _ASPECT_MEAS_STD, r_pos)
     pos, vel, var_p, cov_pv, var_v = zip(

@@ -26,8 +26,8 @@ from .core import (
     Resolution,
     TrackerConfig,
 )
-from .kalman import DEFAULT_PARAMS, KalmanParams, kf_predict, kf_update
-from .rescore import rescore_update
+from .kalman import kf_predict, kf_update
+from .rescore import RescoreDecision, rescore_update
 from .tracks import Track, TrackOutput, TrackStatus
 
 
@@ -98,18 +98,20 @@ def _apply_match(
     tcfg: TrackerConfig,
     rcfg: RescoreConfig,
     rescore_enabled: bool,
-    kf_params: KalmanParams,
 ) -> None:
-    track.kf_state = kf_update(track.kf_state, det.bbox, kf_params)
+    track.kf_state = kf_update(track.kf_state, det.bbox)
     if rescore_enabled:
         decision = rescore_update(track, det, rcfg)
-        track.apply_rescore(decision, det.conf, rcfg.history_len)
     else:
         # naive mode: the latest matched detection wins outright
-        track.class_id = det.class_id
-        track.conf = det.conf
-        track.conf_agg = min(det.conf, 1.0 - rcfg.epsilon)
-        track.recent_confs = [det.conf]
+        decision = RescoreDecision(
+            det.class_id,
+            det.conf,
+            min(det.conf, 1.0 - rcfg.epsilon),
+            det.class_id != track.class_id,
+            (det.conf,),
+        )
+    track.apply_rescore(decision)
     track.mark_matched(tcfg.tau_init)
 
 
@@ -121,7 +123,6 @@ def step(
     *,
     rescore_enabled: bool = True,
     emit_coasted: bool = False,
-    kf_params: KalmanParams = DEFAULT_PARAMS,
 ) -> tuple[TrackerState, list[TrackOutput]]:
     """Advance the tracker by one frame and emit confirmed observations.
 
@@ -142,7 +143,7 @@ def step(
 
     tracks = state.active_tracks
     for t in tracks:
-        t.kf_state = kf_predict(t.kf_state, kf_params)
+        t.kf_state = kf_predict(t.kf_state)
 
     d_high = [d for d in frame.detections if d.conf >= tcfg.high_threshold]
     d_rem = [
@@ -154,14 +155,14 @@ def step(
     first = match(iou_matrix(d_high, tracks), tcfg.tau_iou)
     matched_tracks: set[int] = set()
     for di, tj in first.matches:
-        _apply_match(tracks[tj], d_high[di], tcfg, rcfg, rescore_enabled, kf_params)
+        _apply_match(tracks[tj], d_high[di], tcfg, rcfg, rescore_enabled)
         matched_tracks.add(tj)
 
     remaining_idx = list(first.unmatched_trackers)
     remaining = [tracks[j] for j in remaining_idx]
     second = match(iou_matrix(d_rem, remaining), tcfg.tau_iou)
     for di, tj in second.matches:
-        _apply_match(remaining[tj], d_rem[di], tcfg, rcfg, rescore_enabled, kf_params)
+        _apply_match(remaining[tj], d_rem[di], tcfg, rcfg, rescore_enabled)
         matched_tracks.add(remaining_idx[tj])
     # unmatched detections of the second pass are discarded
 
@@ -170,9 +171,7 @@ def step(
             t.mark_missed(tcfg.tau_dead)
 
     for di in first.unmatched_detections:
-        t = Track.from_detection(
-            state.next_track_id, d_high[di], rcfg.epsilon, kf_params
-        )
+        t = Track.from_detection(state.next_track_id, d_high[di], rcfg.epsilon)
         state.next_track_id += 1
         if t.hit_streak >= tcfg.tau_init:
             t.status = TrackStatus.CONFIRMED
@@ -201,7 +200,6 @@ def run_sequence(
     *,
     rescore_enabled: bool = True,
     emit_coasted: bool = False,
-    kf_params: KalmanParams = DEFAULT_PARAMS,
 ) -> tuple[TrackerState, dict[int, list[TrackOutput]]]:
     """Track a whole sequence; returns final state and outputs per frame."""
     state = TrackerState()
@@ -214,7 +212,6 @@ def run_sequence(
             rcfg,
             rescore_enabled=rescore_enabled,
             emit_coasted=emit_coasted,
-            kf_params=kf_params,
         )
         outputs[frame.frame_index] = outs
     return state, outputs

@@ -17,8 +17,7 @@ hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Detection, RescoreConfig
 
@@ -26,14 +25,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from .tracks import Track
 
 
-@dataclass(frozen=True)
-class RescoreDecision:
-    """Result of one fusion step; apply to the track via ``Track.apply_rescore``."""
+class RescoreDecision(NamedTuple):
+    """Result of one fusion step; apply to the track via ``Track.apply_rescore``.
+
+    ``history`` is the track's new window of matched detection confidences,
+    whose mean is ``new_conf``.
+    """
 
     new_class: int
     new_conf: float
     new_conf_agg: float
     class_switched: bool
+    history: tuple[float, ...]
 
 
 def rescore_update(
@@ -63,9 +66,9 @@ def rescore_update(
             new_class, conf_agg, switched = det.class_id, det.conf, True
 
     if switched:
-        history = [det.conf]
+        history = (det.conf,)
     else:
-        history = (list(track.recent_confs) + [det.conf])[-cfg.history_len:]
+        history = (*track.recent_confs, det.conf)[-cfg.history_len:]
     new_conf = sum(history) / len(history)
     conf_agg = min(conf_agg, 1.0 - cfg.epsilon)
-    return RescoreDecision(new_class, new_conf, conf_agg, switched)
+    return RescoreDecision(new_class, new_conf, conf_agg, switched, history)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import BBox, Detection, clamp_conf
-from .kalman import KalmanParams, KalmanState, DEFAULT_PARAMS, kf_init, state_bbox
+from .kalman import KalmanState, kf_init, state_bbox
 from .rescore import RescoreDecision
 
 
@@ -32,16 +32,12 @@ class Track:
 
     @classmethod
     def from_detection(
-        cls,
-        track_id: int,
-        det: Detection,
-        epsilon: float = 1e-4,
-        kf_params: KalmanParams = DEFAULT_PARAMS,
+        cls, track_id: int, det: Detection, epsilon: float = 1e-4
     ) -> "Track":
         """Start a tentative track; conf_agg mirrors the creating detection."""
         return cls(
             track_id=track_id,
-            kf_state=kf_init(det.bbox, kf_params),
+            kf_state=kf_init(det.bbox),
             class_id=det.class_id,
             conf=det.conf,
             conf_agg=clamp_conf(det.conf, epsilon),
@@ -52,17 +48,12 @@ class Track:
         """Corner box of the current motion estimate."""
         return state_bbox(self.kf_state)
 
-    def apply_rescore(
-        self, decision: RescoreDecision, det_conf: float, history_len: int
-    ) -> None:
-        """Adopt a fusion decision; the history restarts on a class switch."""
-        if decision.class_switched:
-            self.recent_confs = [det_conf]
-        else:
-            self.recent_confs = (self.recent_confs + [det_conf])[-history_len:]
+    def apply_rescore(self, decision: RescoreDecision) -> None:
+        """Adopt a fusion decision."""
         self.class_id = decision.new_class
         self.conf = decision.new_conf
         self.conf_agg = decision.new_conf_agg
+        self.recent_confs = list(decision.history)
 
     def mark_matched(self, tau_init: int) -> None:
         """Register a match for lifecycle purposes (call after kf/rescore)."""

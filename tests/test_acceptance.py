@@ -133,7 +133,7 @@ class TestRescoreAlgebra:
                     expect = prev_agg < d_conf or reduced < d_conf
                     switch_ok &= decision.class_switched == expect
                 contain_ok &= 0.0 <= decision.new_conf_agg <= 1 - eps
-                track.apply_rescore(decision, d_conf, cfg.history_len)
+                track.apply_rescore(decision)
                 o_cls, o_conf, o_agg, o_hist, _sw = rescore_oracle_step(
                     o_cls, o_agg, o_hist, d_cls, d_conf, eps, cfg.history_len
                 )

@@ -177,6 +177,16 @@ class TestEvalCommand:
         assert rc == EXIT_VALIDATION
         assert "'s'" in capsys.readouterr().err
 
+    def test_empty_groundtruth_under_f1max_is_validation_error(
+        self, tmp_path, corpus, capsys
+    ):
+        dets, _ = corpus
+        gt_empty = tmp_path / "gt_empty.jsonl"
+        save_groundtruth_file(gt_empty, {"s": [GroundTruthFrame(0, ())]})
+        rc = main(["eval", str(dets), str(gt_empty)])
+        assert rc == EXIT_VALIDATION
+        assert f"{gt_empty}: no ground-truth objects" in capsys.readouterr().err
+
     def test_bad_threshold_spec_is_usage_error(self, corpus):
         dets, gt = corpus
         with pytest.raises(SystemExit) as exc:
@@ -265,6 +275,19 @@ class TestSweepCommand:
         assert 100 * row5["reduction"] == pytest.approx(53.3, abs=0.5)
         row0 = next(r for r in rows if r["P"] == 0)
         assert row0["mean_mac"] == pytest.approx(463.0)
+
+
+    def test_empty_groundtruth_under_f1max_is_validation_error(
+        self, tmp_path, corpus, capsys
+    ):
+        full, _ = corpus
+        low = tmp_path / "low.jsonl"
+        save_detection_file(low, {"s": _cv_packets(res=(192, 192))})
+        gt_empty = tmp_path / "gt_empty.jsonl"
+        save_groundtruth_file(gt_empty, {"s": [GroundTruthFrame(0, ())]})
+        rc = main(["sweep", str(full), str(low), str(gt_empty), "--preset", "nanodet"])
+        assert rc == EXIT_VALIDATION
+        assert f"{gt_empty}: no ground-truth objects" in capsys.readouterr().err
 
 
 class TestAttnCheckCommand:

@@ -1,5 +1,15 @@
-import pytest
+import copy
+import io
+import json
+import math
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from mrtrack.cli import main
 from mrtrack.core import BBox, Detection, FramePacket
 from mrtrack.evaluation import GroundTruthFrame
 from mrtrack.fileio import (
@@ -101,6 +111,139 @@ class TestTrackAndGroundTruthFiles:
         path = tmp_path / "gt.jsonl"
         save_groundtruth_file(path, data)
         assert load_groundtruth_file(path) == data
+
+
+# One valid record per format; each test file holds it at frames 0 and 1.
+_BOX = [10.0, 20.0, 60.0, 90.0]
+_VALID = {
+    "detection": {
+        "sequence_id": "s", "frame": 0, "inference_resolution": [320, 320],
+        "native_resolution": [320, 320],
+        "detections": [{"bbox": _BOX, "class": 1, "conf": 0.9}],
+    },
+    "track": {
+        "sequence_id": "s", "frame": 0,
+        "tracks": [{"id": 0, "bbox": _BOX, "class": 1, "conf": 0.9}],
+    },
+    "groundtruth": {
+        "sequence_id": "s", "frame": 0,
+        "objects": [{"bbox": _BOX, "class": 1}],
+    },
+}
+
+
+def _locations(value, loc=()):
+    """Every key path into a JSON value, the root included."""
+    yield loc
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _locations(child, loc + (key,))
+
+
+def _mutate(record, loc, kind, value=None):
+    """Copy of ``record`` with the value at ``loc`` deleted, set to ``value``,
+    or wrapped in a list or an object; deleting the root gives None."""
+    root = {"r": copy.deepcopy(record)}
+    parent, loc = root, ("r", *loc)
+    for key in loc[:-1]:
+        parent = parent[key]
+    old = parent[loc[-1]]
+    if kind == "delete":
+        del parent[loc[-1]]
+    else:
+        new = {"set": value, "wrap-list": [old], "wrap-dict": {"v": old}}[kind]
+        parent[loc[-1]] = new
+    return root.get("r")
+
+
+def _eval_with(tmp_path, fmt, first_record):
+    """Run `eval --threshold fixed:0.0` on valid files, except that frame 0
+    of the ``fmt`` file is ``first_record`` (None: left out).
+
+    Returns (exit code, stderr, path of the ``fmt`` file).
+    """
+    pred_fmt = "detection" if fmt == "groundtruth" else fmt
+    paths = {}
+    for own in (pred_fmt, "groundtruth"):
+        first = first_record if own == fmt else _VALID[own]
+        records = [r for r in (first, dict(_VALID[own], frame=1)) if r is not None]
+        paths[own] = tmp_path / f"{own}.jsonl"
+        paths[own].write_text("".join(json.dumps(r) + "\n" for r in records))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(["eval", str(paths[pred_fmt]), str(paths["groundtruth"]),
+                   "--threshold", "fixed:0.0"])
+    return rc, err.getvalue(), paths[fmt]
+
+
+def _assert_clean_exit(rc, err, path):
+    assert rc in (0, 2, 3)
+    if rc:
+        assert re.search(re.escape(str(path)) + r":\d+: ", err), err
+
+
+_BAD_VALUES = [None, True, "", "0", "x", math.nan, math.inf, -math.inf,
+               -1, -0.5, 1.7, 2**31, [], {}]
+_MUTATIONS = st.one_of(
+    st.just(("delete", None)),
+    st.tuples(st.just("set"), st.sampled_from(_BAD_VALUES)),
+    st.tuples(st.sampled_from(["wrap-list", "wrap-dict"]), st.none()),
+)
+
+
+# (format, key path into the frame-0 record, value set there, exit code);
+# a zero-height box is rejected only in detection files
+_CASES = [
+    ("detection", ("detections", 0, "class"), -1, 2),
+    ("detection", ("detections", 0, "class"), 1.7, 2),
+    ("detection", ("detections",), 5, 2),
+    ("detection", ("detections",), [5], 2),
+    ("detection", ("inference_resolution",), [0, 320], 2),
+    ("detection", ("detections", 0, "bbox"), [10, 20, 60, 20], 3),
+    ("groundtruth", ("frame",), "0", 2),
+    ("groundtruth", ("objects", 0, "class"), -1, 2),
+    ("groundtruth", ("objects", 0, "bbox"), [10, 20, 60, 20], 0),
+    ("track", ("frame",), "0", 2),
+    ("track", ("frame",), 2, 3),
+    ("track", ("tracks", 0, "class"), -1, 2),
+    ("track", ("tracks", 0, "conf"), "x", 2),
+    ("track", ("tracks", 0, "conf"), 1.5, 2),
+    ("track", ("tracks", 0, "bbox"), [10, 20, 60, 20], 0),
+]
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize(
+        "fmt, loc, value, expected",
+        _CASES,
+        ids=[f"{f}:{'.'.join(map(str, loc))}={v!r}" for f, loc, v, _ in _CASES],
+    )
+    def test_exit_code_and_location(self, tmp_path, fmt, loc, value, expected):
+        record = _mutate(_VALID[fmt], loc, "set", value)
+        rc, err, path = _eval_with(tmp_path, fmt, record)
+        assert rc == expected, err
+        _assert_clean_exit(rc, err, path)
+
+    def test_undecodable_bytes_name_their_line(self, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps(_VALID["groundtruth"]) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_bytes(b"\n\xff\xfa\n")
+        rc = main(["eval", str(pred), str(gt), "--threshold", "fixed:0.0"])
+        assert rc == 2
+        assert f"{pred}:2: invalid JSON" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(_VALID)), st.data())
+    def test_mutated_records_exit_cleanly(self, tmp_path, fmt, data):
+        loc = data.draw(st.sampled_from(list(_locations(_VALID[fmt]))))
+        kind, value = data.draw(_MUTATIONS)
+        # another sequence id is well-formed; it fails a cross-file check
+        assume(not (loc == ("sequence_id",) and isinstance(value, str)))
+        record = _mutate(_VALID[fmt], loc, kind, value)
+        _assert_clean_exit(*_eval_with(tmp_path, fmt, record))
 
 
 class TestRunConfig:

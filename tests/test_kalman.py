@@ -6,13 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrtrack.core import BBox
-from mrtrack.kalman import (
-    KalmanParams,
-    kf_init,
-    kf_predict,
-    kf_update,
-    state_bbox,
-)
+from mrtrack.kalman import kf_init, kf_predict, kf_update, state_bbox
 
 from oracles import kf8_init, kf8_predict, kf8_update
 
@@ -44,10 +38,6 @@ class TestInit:
         pos_var = np.diag(s.covariance)[:4]
         vel_var = np.diag(s.covariance)[4:]
         np.testing.assert_allclose(vel_var, 100 * pos_var)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            KalmanParams(position_noise_scale=0.0)
 
 
 class TestPredict:

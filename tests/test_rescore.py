@@ -131,7 +131,7 @@ class TestOracleEquivalence:
         o_cls, o_agg, o_hist = cls0, min(agg0, 1 - EPS), [agg0]
         for det_cls, det_conf in updates:
             d = rescore_update(track, _det(det_cls, det_conf), CFG)
-            track.apply_rescore(d, det_conf, CFG.history_len)
+            track.apply_rescore(d)
             o_cls, o_conf, o_agg, o_hist, o_sw = rescore_oracle_step(
                 o_cls, o_agg, o_hist, det_cls, det_conf, EPS, CFG.history_len
             )
@@ -152,7 +152,7 @@ class TestOracleEquivalence:
                 det_cls = int(rng.integers(0, 4))
                 det_conf = float(rng.random() * (1 - EPS))
                 d = rescore_update(track, _det(det_cls, det_conf), CFG)
-                track.apply_rescore(d, det_conf, CFG.history_len)
+                track.apply_rescore(d)
                 o_cls, o_conf, o_agg, o_hist, _ = rescore_oracle_step(
                     o_cls, o_agg, o_hist, det_cls, det_conf, EPS,
                     CFG.history_len,
