@@ -14,6 +14,7 @@ from .fileio import (
     PRESET_NAMES,
     RunConfig,
     ValidationError,
+    is_track_file,
     load_detection_file,
     load_groundtruth_file,
     load_run_config,
@@ -177,13 +178,7 @@ def _f1_max(
 
 
 def cmd_eval(args) -> int:
-    with open(args.predictions, "rb") as fh:
-        first = b""
-        for line in fh:
-            if line.strip():
-                first = line
-                break
-    if b'"tracks"' in first:
+    if is_track_file(args.predictions):
         track_data = load_track_file(args.predictions)
         dets = _tracks_for_eval(track_data)
         pred_ids = track_data.keys()

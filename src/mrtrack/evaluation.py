@@ -9,7 +9,9 @@ that appears in the ground truth or in the detections.
 
 The evaluation threshold filters the detection set before any metric is
 computed; ``f1_max_threshold`` sweeps a confidence grid and returns the
-threshold maximizing mean F1 (ties toward the higher threshold).
+threshold maximizing mean F1 (ties toward the higher threshold). The sweep
+matches each frame once and scans the grid over per-class prefix counts
+of that one ranking, then runs ``evaluate`` at the chosen threshold.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import BBox, Detection, iou
+from .core import BBox, DEFAULT_EPSILON, Detection, iou
 
 # (sequence_id, frame_index) -> contents of that frame
 FrameKey = tuple[str, int]
@@ -114,9 +116,47 @@ def average_precision(flags: Sequence[bool], n_gt: int) -> float:
     return float(ap)
 
 
-def _sorted_dets(dets: Sequence[Detection]) -> list[Detection]:
-    # stable: equal confidences keep input order
-    return sorted(dets, key=lambda d: -d.conf)
+def _ranked(
+    dets_by_frame: Mapping[FrameKey, Sequence[Detection]],
+    gts_by_frame: Mapping[FrameKey, Sequence[GtObject]],
+    threshold: float,
+) -> tuple[dict[int, list[tuple[float, FrameKey, int, bool]]], dict[int, int]]:
+    """Match every frame at ``threshold``: per-class ranked records, GT counts.
+
+    A record is (conf, frame key, rank in its frame, TP flag); each class's
+    records are sorted by descending confidence, then frame key and rank.
+    """
+    records: dict[int, list[tuple[float, FrameKey, int, bool]]] = {}
+    n_gt: dict[int, int] = {}
+    keys = sorted(set(dets_by_frame.keys()) | set(gts_by_frame.keys()))
+    for key in keys:
+        gts = list(gts_by_frame.get(key, ()))
+        for _, gcls in gts:
+            n_gt[gcls] = n_gt.get(gcls, 0) + 1
+        # stable: equal confidences keep input order
+        dets = sorted(
+            (d for d in dets_by_frame.get(key, ()) if d.conf >= threshold),
+            key=lambda d: -d.conf,
+        )
+        flags = match_frame_flags(dets, gts)
+        for rank, (d, f) in enumerate(zip(dets, flags)):
+            records.setdefault(d.class_id, []).append((d.conf, key, rank, f))
+    for recs in records.values():
+        recs.sort(key=lambda r: (-r[0], r[1], r[2]))
+    return records, n_gt
+
+
+def _class_prf(tp: int, fp: int, n_gt: int) -> tuple[float, float, float]:
+    """(precision, recall, F1) of one class from its TP, FP and GT counts."""
+    fn = n_gt - tp
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
 def evaluate(
@@ -129,38 +169,14 @@ def evaluate(
     Detections with confidence below ``threshold`` are discarded first.
     AP pools each class's ranked detections over all frames and sequences.
     """
-    # class -> list of (conf, deterministic rank key, tp flag)
-    records: dict[int, list[tuple[float, FrameKey, int, bool]]] = {}
-    n_gt: dict[int, int] = {}
-
-    keys = sorted(set(dets_by_frame.keys()) | set(gts_by_frame.keys()))
-    for key in keys:
-        gts = list(gts_by_frame.get(key, ()))
-        for _, gcls in gts:
-            n_gt[gcls] = n_gt.get(gcls, 0) + 1
-        dets = _sorted_dets(
-            [d for d in dets_by_frame.get(key, ()) if d.conf >= threshold]
-        )
-        flags = match_frame_flags(dets, gts)
-        for rank, (d, f) in enumerate(zip(dets, flags)):
-            records.setdefault(d.class_id, []).append((d.conf, key, rank, f))
-
-    classes = sorted(set(records) | set(n_gt))
+    records, n_gt = _ranked(dets_by_frame, gts_by_frame, threshold)
     per_class: dict[int, ClassMetrics] = {}
-    for cls in classes:
-        recs = sorted(records.get(cls, []), key=lambda r: (-r[0], r[1], r[2]))
-        flags = [f for _, _, _, f in recs]
+    for cls in sorted(set(records) | set(n_gt)):
+        flags = [f for _, _, _, f in records.get(cls, [])]
         gt_count = n_gt.get(cls, 0)
         tp = sum(flags)
         fp = len(flags) - tp
-        fn = gt_count - tp
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
+        precision, recall, f1 = _class_prf(tp, fp, gt_count)
         per_class[cls] = ClassMetrics(
             ap=average_precision(flags, gt_count),
             precision=precision,
@@ -168,11 +184,8 @@ def evaluate(
             f1=f1,
             tp=tp,
             fp=fp,
-            fn=fn,
+            fn=gt_count - tp,
         )
-
-    def _mean(values: list[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
 
     return MetricsReport(
         per_class=per_class,
@@ -188,12 +201,18 @@ def f1_max_threshold(
     dets_by_frame: Mapping[FrameKey, Sequence[Detection]],
     gts_by_frame: Mapping[FrameKey, Sequence[GtObject]],
     grid_step: float = 0.01,
-    epsilon: float = 1e-4,
 ) -> tuple[float, MetricsReport]:
     """Confidence threshold maximizing mean F1 over a regular grid.
 
     The grid is {0, step, 2*step, ...} below 1 - epsilon, plus 1 - epsilon
-    itself; ties are broken toward the higher threshold.
+    itself; ties are broken toward the higher threshold. The report is
+    ``evaluate`` at the chosen threshold.
+
+    Every frame is matched once, at threshold 0. Greedy matching in
+    descending confidence makes a detection's TP flag depend only on the
+    detections ranked above it, and a threshold only cuts a suffix of each
+    frame's ranking, so a class's kept and TP counts at any threshold are
+    prefix counts of its ranked records.
     """
     if not 0.0 < grid_step <= 0.5:
         raise ValueError(f"grid_step out of (0, 0.5]: {grid_step}")
@@ -201,7 +220,7 @@ def f1_max_threshold(
     if total_gt == 0:
         raise ValueError("empty ground truth: F1 sweep undefined")
 
-    top = 1.0 - epsilon
+    top = 1.0 - DEFAULT_EPSILON
     grid = []
     k = 0
     # rounding keeps decimal grids exact (14 * 0.05 would otherwise
@@ -211,10 +230,25 @@ def f1_max_threshold(
         k += 1
     grid.append(top)
 
-    best_thr = grid[0]
-    best_report = evaluate(dets_by_frame, gts_by_frame, grid[0])
-    for thr in grid[1:]:
-        report = evaluate(dets_by_frame, gts_by_frame, thr)
-        if report.mean_f1 >= best_report.mean_f1:
-            best_thr, best_report = thr, report
-    return best_thr, best_report
+    records, n_gt = _ranked(dets_by_frame, gts_by_frame, 0.0)
+    # class -> (kept, TP) counts at each grid point; kept counts conf >= thr
+    counts: dict[int, list[tuple[int, int]]] = {}
+    for cls, recs in records.items():
+        ascending = np.array([r[0] for r in reversed(recs)])
+        prefix_tp = np.cumsum([0] + [r[3] for r in recs])
+        kept = len(recs) - np.searchsorted(ascending, grid, side="left")
+        counts[cls] = list(zip(kept.tolist(), prefix_tp[kept].tolist()))
+
+    classes = sorted(set(records) | set(n_gt))
+    best_thr, best_f1 = grid[0], -1.0
+    for i, thr in enumerate(grid):
+        # the per-class F1 values and their mean are computed as in evaluate
+        f1s = []
+        for cls in classes:
+            kept_i, tp = counts[cls][i] if cls in counts else (0, 0)
+            if kept_i or cls in n_gt:
+                f1s.append(_class_prf(tp, kept_i - tp, n_gt.get(cls, 0))[2])
+        mean_f1 = _mean(f1s)
+        if mean_f1 >= best_f1:
+            best_thr, best_f1 = thr, mean_f1
+    return best_thr, evaluate(dets_by_frame, gts_by_frame, best_thr)

@@ -28,6 +28,7 @@ from .core import (
     Resolution,
     TrackerConfig,
     clamp_conf,
+    rescale_bbox,
 )
 from .evaluation import GroundTruthFrame, MetricsReport
 from .pipeline import ResolutionSchedule
@@ -46,6 +47,15 @@ class ValidationError(Exception):
 # Field parsers over json.loads output, whose values have exact built-in
 # types (``type(v) is int`` excludes bool). The reader adds path:line.
 _NUMBERS = frozenset((int, float))
+
+
+def _decode(line: bytes):
+    """One JSON value; bad syntax, bytes or nesting, or an integer over the
+    interpreter's digit limit, is a FileFormatError."""
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise FileFormatError(f"invalid JSON: {exc}") from None
 
 
 def _field(obj: dict, key: str):
@@ -107,10 +117,13 @@ _Records = dict[str, list[tuple[int, tuple[Resolution, ...], Sequence]]]
 
 
 def _read_records(
-    path: str | Path, fmt: _Format, parse_entry: Callable[[dict], object]
+    path: str | Path,
+    fmt: _Format,
+    parse_entry: Callable[[dict, tuple[Resolution, ...]], object],
 ) -> _Records:
     """The one JSONL reader: every failure names ``path:line``.
 
+    ``parse_entry`` gets each entry and its record's header resolutions.
     Structure and field errors raise FileFormatError; frames not strictly
     increasing within a sequence raise ValidationError, as does whatever
     ``parse_entry`` raises as one.
@@ -122,7 +135,7 @@ def _read_records(
             if not line.strip():
                 continue
             try:
-                record = _object(json.loads(line), "record")
+                record = _object(_decode(line), "record")
                 seq = _field(record, "sequence_id")
                 if type(seq) is not str:
                     raise FileFormatError(f"bad sequence_id {seq!r}: need a string")
@@ -131,18 +144,32 @@ def _read_records(
                 entries = _field(record, fmt.entries)
                 if type(entries) is not list:
                     raise FileFormatError(f"{fmt.entries!r} is not a list")
-                parsed = [parse_entry(_object(e, "entry")) for e in entries]
+                parsed = [parse_entry(_object(e, "entry"), header) for e in entries]
                 rows = sequences.setdefault(seq, [])
                 if rows and frame <= rows[-1][0]:
                     raise ValidationError(
                         f"sequence {seq!r} frame {frame} not increasing"
                     )
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             except (FileFormatError, ValidationError) as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from None
             rows.append((frame, header, parsed))
     return sequences
+
+
+def is_track_file(path: str | Path) -> bool:
+    """Whether the first record of a file has a ``tracks`` key.
+
+    A first line that does not parse gives False, so the loader then called
+    reports it with ``path:line``.
+    """
+    with open(path, "rb") as fh:
+        for line in fh:
+            if line.strip():
+                try:
+                    return "tracks" in _object(_decode(line), "record")
+                except FileFormatError:
+                    return False
+    return False
 
 
 def _write_records(
@@ -167,16 +194,25 @@ def load_detection_file(
 ) -> dict[str, list[FramePacket]]:
     """Parse a detection file into per-sequence frame packets.
 
-    Confidences are clamped to [0, 1 - epsilon]; a zero-height box is a
-    ValidationError because the motion filter needs a positive height.
+    Confidences are clamped to [0, 1 - epsilon]. A box is a ValidationError
+    if it has zero height, in its own or in native coordinates, because the
+    motion filter needs a positive height, or if rescaling it to native
+    resolution overflows.
     """
 
-    def entry(e: dict) -> Detection:
+    def entry(e: dict, header: tuple[Resolution, Resolution]) -> Detection:
         bbox = _bbox(_field(e, "bbox"))
-        if bbox.height <= 0.0:
+        # as rescale_packet_to_native will: no rescale when the resolutions match
+        try:
+            native = bbox if header[0] == header[1] else rescale_bbox(bbox, *header)
+        except (OverflowError, ValueError) as exc:
             raise ValidationError(
-                f"zero-height box {bbox.as_tuple()}: the motion filter needs a "
-                "positive height"
+                f"box {bbox.as_tuple()} does not rescale to native resolution: {exc}"
+            ) from None
+        if native.height <= 0.0:
+            raise ValidationError(
+                f"zero-height box {bbox.as_tuple()} at native resolution: the "
+                "motion filter needs a positive height"
             )
         cls = _index(_field(e, "class"), "class")
         return Detection(bbox, cls, clamp_conf(_conf(_field(e, "conf")), epsilon))
@@ -206,7 +242,7 @@ def save_detection_file(
 def load_track_file(path: str | Path) -> dict[str, dict[int, list[TrackOutput]]]:
     """Parse a track file into sequence -> frame -> emitted tracks."""
 
-    def entry(e: dict) -> TrackOutput:
+    def entry(e: dict, _: tuple) -> TrackOutput:
         return TrackOutput(
             track_id=_index(_field(e, "id"), "track id"),
             bbox=_bbox(_field(e, "bbox")),
@@ -235,7 +271,7 @@ def save_track_file(
 
 
 def load_groundtruth_file(path: str | Path) -> dict[str, list[GroundTruthFrame]]:
-    def entry(e: dict) -> tuple[BBox, int]:
+    def entry(e: dict, _: tuple) -> tuple[BBox, int]:
         return (_bbox(_field(e, "bbox")), _index(_field(e, "class"), "class"))
 
     return {

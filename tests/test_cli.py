@@ -169,6 +169,17 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "mAP 1.0000" in out
 
+    def test_detection_file_with_sequence_named_tracks(self, tmp_path, capsys):
+        # the predictions file type comes from the first record's keys, not
+        # from the text "tracks" appearing in it
+        dets = tmp_path / "dets.jsonl"
+        gt = tmp_path / "gt.jsonl"
+        save_detection_file(dets, {"tracks": _cv_packets()})
+        save_groundtruth_file(gt, {"tracks": _gt_frames()})
+        rc = main(["eval", str(dets), str(gt), "--threshold", "fixed:0.0"])
+        assert rc == EXIT_OK
+        assert "mAP 1.0000" in capsys.readouterr().out
+
     def test_missing_sequence_listed(self, tmp_path, corpus, capsys):
         dets, _ = corpus
         gt2 = tmp_path / "gt2.jsonl"

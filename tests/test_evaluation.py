@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from mrtrack import evaluation
 from mrtrack.core import BBox, Detection
 from mrtrack.evaluation import (
     average_precision,
@@ -204,3 +207,63 @@ class TestF1MaxThreshold:
         assert report.mean_f1 == pytest.approx(want_f1, abs=1e-12)
         # the planted FP band ends at 0.55 and real TPs start at 0.6
         assert 0.55 < thr <= 0.61
+
+
+def _grid(step):
+    """The documented sweep grid: multiples of ``step`` below 1 - 1e-4, then
+    1 - 1e-4 itself."""
+    top = 1 - 1e-4
+    values = (round(k * step, 12) for k in range(int(1 / step) + 1))
+    return [v for v in values if v < top] + [top]
+
+
+# 10-px boxes at offsets 0, 2 (IoU 0.67 with 0), 4 (IoU 0.43) and 30 (disjoint)
+_OFFSETS = st.sampled_from([0, 2, 4, 30])
+# tie within and across frames, and most sit exactly on grid points (0.9999
+# is the top of every grid), where the `conf >= threshold` boundary shows
+_TIED_CONFS = [0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 1 - 1e-4]
+_KEYS = st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 4))
+# class 3 appears only in ground truth, class 4 only in detections; the two
+# dictionaries draw their keys apart, so a frame can have detections and no
+# ground truth or the reverse
+_CORPORA = st.tuples(
+    st.dictionaries(_KEYS, st.lists(st.builds(
+        _det, _OFFSETS, _OFFSETS, cls=st.sampled_from([0, 1, 2, 4]),
+        conf=st.one_of(st.sampled_from(_TIED_CONFS), st.floats(0.0, 1.0)),
+    ), max_size=5), max_size=6),
+    st.dictionaries(_KEYS, st.lists(st.builds(
+        _gt, _OFFSETS, _OFFSETS, cls=st.sampled_from([0, 1, 2, 3]),
+    ), max_size=4), max_size=6),
+)
+
+
+class TestSinglePassSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(_CORPORA, st.sampled_from([0.01, 0.05, 0.1, 0.5]))
+    # the class-4 detection at 0.5 counts toward the mean F1 at thresholds
+    # up to 0.5 only: it halves the F1 of 1 at 0.2, so the maximum is 2/3 at 0.9
+    @example(({("a", 0): [_det(0, 0, conf=0.9), _det(30, 30, conf=0.2),
+                          _det(0, 30, cls=4, conf=0.5)]},
+              {("a", 0): [_gt(0, 0), _gt(30, 30)]}), 0.1)
+    def test_equals_exhaustive_sweep(self, corpus, step):
+        dets, gts = corpus
+        assume(any(gts.values()))
+        thr, report = f1_max_threshold(dets, gts, step)
+        want = f1_sweep_oracle(dets, gts, _grid(step), evaluate)
+        assert (thr, report.mean_f1) == want
+        assert report == evaluate(dets, gts, thr)
+
+    def test_matches_each_frame_at_most_twice(self, monkeypatch):
+        # once for the scan and once for the report at the chosen threshold
+        calls = []
+        original = evaluation.match_frame_flags
+
+        def counting(dets, gts):
+            calls.append(len(dets))
+            return original(dets, gts)
+
+        monkeypatch.setattr(evaluation, "match_frame_flags", counting)
+        dets = {("m", t): [_det(t % 5, 0, conf=0.05 * t)] for t in range(15)}
+        gts = {("m", t): [_gt(0, 0)] for t in range(3, 18)}
+        f1_max_threshold(dets, gts, grid_step=0.01)
+        assert 0 < len(calls) <= 2 * len(set(dets) | set(gts))

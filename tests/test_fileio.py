@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import reprlib
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -81,6 +82,17 @@ class TestDetectionFile:
         )
         path.write_text(rec % 1 + "\n" + rec % 1 + "\n")
         with pytest.raises(ValidationError, match="not increasing"):
+            load_detection_file(path)
+
+    def test_box_of_zero_native_height_rejected(self, tmp_path):
+        # 7.0 and the next float up both scale by 320/192 to 11.666666666666668
+        path = tmp_path / "dets.jsonl"
+        path.write_text(
+            '{"sequence_id": "a", "frame": 0, "inference_resolution": [192, 192],'
+            ' "native_resolution": [320, 320], "detections":'
+            ' [{"bbox": [10, 7.0, 20, 7.000000000000001], "class": 0, "conf": 0.9}]}\n'
+        )
+        with pytest.raises(ValidationError, match=r":1: zero-height box"):
             load_detection_file(path)
 
     def test_empty_file_loads_empty(self, tmp_path):
@@ -184,7 +196,7 @@ def _assert_clean_exit(rc, err, path):
 
 
 _BAD_VALUES = [None, True, "", "0", "x", math.nan, math.inf, -math.inf,
-               -1, -0.5, 1.7, 2**31, [], {}]
+               -1, -0.5, 1.7, 2**31, 10**400, [], {}]
 _MUTATIONS = st.one_of(
     st.just(("delete", None)),
     st.tuples(st.just("set"), st.sampled_from(_BAD_VALUES)),
@@ -193,7 +205,9 @@ _MUTATIONS = st.one_of(
 
 
 # (format, key path into the frame-0 record, value set there, exit code);
-# a zero-height box is rejected only in detection files
+# a zero-height box is rejected only in detection files, and so is a box
+# whose rescale to native resolution overflows: 10**400 / 320 is not a
+# float, and 5 * 10**309 / 320 is a float that overflows the box's x2
 _CASES = [
     ("detection", ("detections", 0, "class"), -1, 2),
     ("detection", ("detections", 0, "class"), 1.7, 2),
@@ -201,6 +215,8 @@ _CASES = [
     ("detection", ("detections",), [5], 2),
     ("detection", ("inference_resolution",), [0, 320], 2),
     ("detection", ("detections", 0, "bbox"), [10, 20, 60, 20], 3),
+    ("detection", ("native_resolution",), [10**400, 320], 3),
+    ("detection", ("native_resolution",), [5 * 10**309, 320], 3),
     ("groundtruth", ("frame",), "0", 2),
     ("groundtruth", ("objects", 0, "class"), -1, 2),
     ("groundtruth", ("objects", 0, "bbox"), [10, 20, 60, 20], 0),
@@ -217,7 +233,8 @@ class TestMalformedRecords:
     @pytest.mark.parametrize(
         "fmt, loc, value, expected",
         _CASES,
-        ids=[f"{f}:{'.'.join(map(str, loc))}={v!r}" for f, loc, v, _ in _CASES],
+        ids=[f"{f}:{'.'.join(map(str, loc))}={reprlib.repr(v)}"
+             for f, loc, v, _ in _CASES],
     )
     def test_exit_code_and_location(self, tmp_path, fmt, loc, value, expected):
         record = _mutate(_VALID[fmt], loc, "set", value)
@@ -233,6 +250,19 @@ class TestMalformedRecords:
         rc = main(["eval", str(pred), str(gt), "--threshold", "fixed:0.0"])
         assert rc == 2
         assert f"{pred}:2: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        b'{"sequence_id": "s", "frame": 1' + b"0" * 5000 + b"}",
+        b"[" * 100_000,
+    ], ids=["integer-over-digit-limit", "deep-nesting"])
+    def test_unparseable_json_names_its_line(self, tmp_path, capsys, line):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps(_VALID["groundtruth"]) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_bytes(line + b"\n")
+        rc = main(["eval", str(pred), str(gt), "--threshold", "fixed:0.0"])
+        assert rc == 2
+        assert f"{pred}:1: invalid JSON" in capsys.readouterr().err
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
