@@ -17,8 +17,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-import yaml
-
 from .core import (
     BBox,
     DEFAULT_EPSILON,
@@ -354,6 +352,8 @@ def load_run_config(
     """Resolve a run configuration: preset defaults, then file, then flags."""
     doc: dict = {}
     if config_path is not None:
+        import yaml  # here, not at the top: most runs never read YAML
+
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 doc = yaml.safe_load(fh) or {}
@@ -407,6 +407,8 @@ def load_run_config(
 
 def load_scenario(path: str | Path, seed: int | None = None) -> SynthScenario:
     """Parse a scenario YAML document; an explicit seed overrides the file."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -473,6 +475,8 @@ def save_scenario(path: str | Path, sc: SynthScenario) -> None:
             for lv in sc.degradation
         ],
     }
+    import yaml
+
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)
 

@@ -8,6 +8,8 @@ from itertools import permutations
 
 import numpy as np
 
+from mrtrack.association import MatchResult
+
 
 def brute_force_assignment_value(matrix, tau):
     """Maximum total IoU over all gated one-to-one assignments.
@@ -30,6 +32,42 @@ def brute_force_assignment_value(matrix, tau):
         if total > best:
             best = total
     return best
+
+
+def lsap_match_oracle(cost_matrix, tau_iou):
+    """Gated maximum-IoU assignment solved by scipy's linear_sum_assignment.
+
+    Pads to a square cost matrix where gated and padded cells cost zero,
+    adds the index perturbation ``(i * m + j) * 1e-10 / (n * m)`` and keeps
+    the feasible pairs of the optimal permutation: the solver mrtrack's own
+    ``association.match`` replaced, kept as its reference.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    n, m = cost_matrix.shape
+    if n == 0 or m == 0:
+        return MatchResult((), tuple(range(n)), tuple(range(m)))
+
+    feasible = cost_matrix >= tau_iou
+    size = max(n, m)
+    cost = np.zeros((size, size))
+    cost[:n, :m][feasible] = -cost_matrix[feasible]
+    bias = (np.arange(n)[:, None] * m + np.arange(m)[None, :]) * (1e-10 / (n * m))
+    cost[:n, :m] += bias
+    rows, cols = linear_sum_assignment(cost)
+
+    matches = sorted(
+        (int(i), int(j))
+        for i, j in zip(rows, cols)
+        if i < n and j < m and feasible[i, j]
+    )
+    matched_d = {i for i, _ in matches}
+    matched_t = {j for _, j in matches}
+    return MatchResult(
+        tuple(matches),
+        tuple(i for i in range(n) if i not in matched_d),
+        tuple(j for j in range(m) if j not in matched_t),
+    )
 
 
 def rescore_oracle_step(cl_j, conf_agg, history, cl_i, conf_i,

@@ -10,7 +10,7 @@ from mrtrack.association import iou_matrix, match
 from mrtrack.core import BBox, Detection, iou
 from mrtrack.tracks import Track
 
-from oracles import brute_force_assignment_value
+from oracles import brute_force_assignment_value, lsap_match_oracle
 
 
 def _det(x1, y1, x2, y2, cls=0, conf=0.9):
@@ -165,3 +165,89 @@ class TestMatch:
             pairs1 = sorted(round(mat[i, j], 12) for i, j in r1.matches)
             pairs2 = sorted(round(permuted[i, j], 12) for i, j in r2.matches)
             assert pairs1 == pairs2
+
+
+TAU = 0.3
+
+
+def _gated_matrix(n, m, seed, density, at_tau):
+    """Continuous random n x m IoU-like matrix: a `density` share of cells lies
+    in [tau, 1), the rest below tau, and `at_tau` cells sit exactly at tau.
+
+    The at-tau cells share no row or column, so no two assignments tie
+    exactly (almost surely) and the optimum is unique.
+    """
+    rng = np.random.default_rng(seed)
+    mat = np.where(
+        rng.random((n, m)) < density,
+        TAU + (1.0 - TAU) * rng.random((n, m)),
+        TAU * rng.random((n, m)),
+    )
+    k = min(n, m, at_tau)
+    mat[rng.permutation(n)[:k], rng.permutation(m)[:k]] = TAU
+    return mat
+
+
+def _contested(mat):
+    """True when two detections share their best feasible tracker."""
+    feasible = mat >= TAU
+    best = np.where(feasible, mat, -np.inf).argmax(axis=1)[feasible.any(axis=1)]
+    return len(set(best.tolist())) < len(best)
+
+
+class TestMatchEqualsLsapOracle:
+    """`match` against the scipy solver it replaced, on matrices with a unique optimum."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 10),
+        st.integers(0, 10),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.8, 1.0]),
+        st.integers(0, 3),
+    )
+    @example(3, 0, 0, 1.0, 0)
+    @example(0, 4, 0, 1.0, 0)
+    @example(6, 6, 1, 0.0, 3)  # only the at-tau cells are feasible
+    @example(10, 3, 2, 0.5, 2)  # more detections than trackers
+    def test_equals_oracle(self, n, m, seed, density, at_tau):
+        mat = _gated_matrix(n, m, seed, density, at_tau)
+        assert match(mat, TAU) == lsap_match_oracle(mat, TAU)
+
+    @pytest.mark.parametrize("size", [12, 40])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_all_feasible_forces_augmenting_path(self, size, seed):
+        mat = _gated_matrix(size, size, seed, density=1.0, at_tau=0)
+        assert _contested(mat)
+        assert match(mat, TAU) == lsap_match_oracle(mat, TAU)
+
+
+class TestMatchTies:
+    """Exactly tied optima: the total is still optimal, and the tie rule is pinned."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            elements=st.sampled_from([0.0, 0.2, TAU, 0.5, 0.8, 1.0]),
+        )
+    )
+    def test_total_equals_brute_force(self, mat):
+        r = match(mat, TAU)
+        assert all(mat[i, j] >= TAU for i, j in r.matches)
+        want = brute_force_assignment_value(mat.tolist(), TAU)
+        assert _total(mat, r) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "mat, matches",
+        [
+            ([[0.8], [0.8]], ((0, 0),)),  # detections tie for one tracker
+            ([[0.8, 0.8]], ((0, 0),)),  # trackers tie for one detection
+            ([[0.8] * 3] * 3, ((0, 0), (1, 1), (2, 2))),  # all equal
+        ],
+    )
+    def test_low_indices_win(self, mat, matches):
+        mat = np.array(mat)
+        assert match(mat, TAU).matches == matches
+        assert lsap_match_oracle(mat, TAU).matches == matches

@@ -125,11 +125,43 @@ class TestTrackCommand:
         assert "Traceback" not in proc.stderr
 
 
+# prints which of the optional heavy modules a fresh interpreter has loaded
+_LOADED = "print(sorted({'scipy', 'yaml'} & set(sys.modules)))"
+
+
 class TestStartup:
+    """Start-up cost: the CLI and its tracking commands import neither scipy nor yaml."""
+
     def test_cli_import_does_not_load_scipy(self):
-        proc = _python("-c", "import sys, mrtrack.cli; print('scipy' in sys.modules)")
+        proc = _python("-c", f"import sys, mrtrack.cli; {_LOADED}")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.fixture
+    def synth_corpus(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        save_scenario(scenario, profile_scenario("cnn-like", seed=5, frame_count=20))
+        out = tmp_path / "corpus"
+        assert main(["synth", str(scenario), "--out", str(out), "--P", "2"]) == EXIT_OK
+        return out
+
+    def _run_main(self, argv):
+        proc = _python("-c", f"import sys, mrtrack.cli; mrtrack.cli.main({argv!r}); {_LOADED}")
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_track_does_not_load_scipy(self, synth_corpus, tmp_path):
+        argv = ["track", str(synth_corpus / "detections_P2.jsonl"), "--preset", "nanodet",
+                "--P", "2", "--out", str(tmp_path / "tracks.jsonl")]
+        assert self._run_main(argv) == "[]"
+        assert (tmp_path / "tracks.jsonl").stat().st_size > 0
+
+    def test_sweep_does_not_load_scipy(self, synth_corpus, tmp_path):
+        argv = ["sweep", str(synth_corpus / "detections_320x320.jsonl"),
+                str(synth_corpus / "detections_192x192.jsonl"), str(synth_corpus / "gt.jsonl"),
+                "--preset", "nanodet", "--P-values", "0,2", "--out", str(tmp_path / "rows.jsonl")]
+        assert self._run_main(argv) == "[]"
+        assert (tmp_path / "rows.jsonl").stat().st_size > 0
 
 
 class TestEvalCommand:
