@@ -333,6 +333,39 @@ class TestSweepCommand:
         assert f"{gt_empty}: no ground-truth objects" in capsys.readouterr().err
 
 
+class TestStreamContract:
+    """Tracked streams must run contiguously from frame 0, in full and low files alike."""
+
+    def _sweep(self, tmp_path, full, low):
+        """Exit code of `sweep` over {sequence: packets} maps for the two files."""
+        paths = [tmp_path / name for name in ("full.jsonl", "low.jsonl", "gt.jsonl")]
+        save_detection_file(paths[0], full)
+        save_detection_file(paths[1], low)
+        save_groundtruth_file(paths[2], {seq: _gt_frames() for seq in {**full, **low}})
+        return main(["sweep", *map(str, paths), "--preset", "nanodet"])
+
+    def test_track_rejects_a_frame_gap(self, tmp_path, capsys):
+        dets = tmp_path / "dets.jsonl"
+        save_detection_file(dets, {"s": _cv_packets(n=3)[::2]})  # frames 0, 2
+        rc = main(["track", str(dets), "--preset", "nanodet", "--P", "0",
+                   "--out", str(tmp_path / "t.jsonl")])
+        assert rc == EXIT_VALIDATION
+        assert "frame 2" in capsys.readouterr().err
+
+    def test_sweep_rejects_frame_count_mismatch(self, tmp_path):
+        low = _cv_packets(n=14, res=(192, 192))
+        assert self._sweep(tmp_path, {"s": _cv_packets()}, {"s": low}) == EXIT_VALIDATION
+
+    def test_sweep_rejects_different_sequences(self, tmp_path):
+        low = _cv_packets(res=(192, 192))
+        assert self._sweep(tmp_path, {"s": _cv_packets()}, {"t": low}) == EXIT_VALIDATION
+
+    def test_sweep_rejects_the_same_gap_in_both_files(self, tmp_path):
+        full = _cv_packets()[::2]
+        low = _cv_packets(res=(192, 192))[::2]
+        assert self._sweep(tmp_path, {"s": full}, {"s": low}) == EXIT_VALIDATION
+
+
 class TestAttnCheckCommand:
     def test_default_suite_passes(self, capsys):
         rc = main(["attn-check", "--trials", "10"])
