@@ -10,10 +10,10 @@ three-row comparison at a fixed interleave factor.
 import argparse
 import sys
 
-from mrtrack.core import Detection, rescale_packet_to_native
+from mrtrack.core import rescale_packet_to_native
 from mrtrack.evaluation import evaluate, f1_max_threshold
 from mrtrack.fileio import preset_config
-from mrtrack.pipeline import is_full_res, run_sequence
+from mrtrack.pipeline import interleave, run_sequence
 from mrtrack.synth import generate, profile_scenario
 
 
@@ -29,22 +29,15 @@ def main() -> int:
     scenario = profile_scenario("vit-like", seed=args.seed, frame_count=args.frames)
     gt_frames, emulate = generate(scenario)
     gts = {("s", g.frame_index): list(g.objects) for g in gt_frames}
-    full = emulate(cfg.schedule.full_res)
-    low = emulate(cfg.schedule.low_res)
-    stream = [
-        rescale_packet_to_native(
-            f if is_full_res(f.frame_index, args.P) else l
-        )
-        for f, l in zip(full, low)
-    ]
+    full = [rescale_packet_to_native(p) for p in emulate(cfg.schedule.full_res)]
+    low = [rescale_packet_to_native(p) for p in emulate(cfg.schedule.low_res)]
+    stream = interleave(full, low, args.P)
 
-    dets = {("s", p.frame_index): list(p.detections) for p in stream}
-    full_dets = {
-        ("s", p.frame_index): list(rescale_packet_to_native(p).detections)
-        for p in full
-    }
-    thr, _ = f1_max_threshold(full_dets, gts, 0.01)
-    rows = [("frame-by-frame", evaluate(dets, gts, thr))]
+    def dets_of(packets):
+        return {("s", p.frame_index): list(p.detections) for p in packets}
+
+    thr, _ = f1_max_threshold(dets_of(full), gts, 0.01)
+    rows = [("frame-by-frame", evaluate(dets_of(stream), gts, thr))]
 
     for label, rescore in (("naive tracking", False), ("rescored tracking", True)):
         _, outputs = run_sequence(
@@ -54,10 +47,7 @@ def main() -> int:
             rescore_enabled=rescore,
             emit_coasted=True,
         )
-        tracked = {
-            ("s", t): [Detection(o.bbox, o.class_id, o.conf) for o in outs]
-            for t, outs in outputs.items()
-        }
+        tracked = {("s", t): outs for t, outs in outputs.items()}
         rows.append((label, evaluate(tracked, gts, 0.0)))
 
     print(f"scenario: vit-like flips, P={args.P}, baseline threshold {thr:.2f}")

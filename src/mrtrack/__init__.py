@@ -27,7 +27,6 @@ from .evaluation import (
     average_precision,
     evaluate,
     f1_max_threshold,
-    match_frame,
 )
 from .kalman import KalmanState, kf_init, kf_predict, kf_update
 from .linattn import (
@@ -89,7 +88,6 @@ __all__ = [
     "kf_predict",
     "kf_update",
     "match",
-    "match_frame",
     "mean_mac",
     "naive_relu_attention",
     "profile_scenario",

@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import Detection, FramePacket, rescale_packet_to_native
+from .core import FramePacket, rescale_packet_to_native
 from .evaluation import MetricsReport, evaluate, f1_max_threshold
 from .fileio import (
     FileFormatError,
@@ -27,7 +27,7 @@ from .fileio import (
     save_track_file,
 )
 from .linattn import run_attention_checks
-from .pipeline import is_full_res, mean_mac, run_sequence
+from .pipeline import interleave, is_full_res, mean_mac, run_sequence
 from .synth import generate
 
 EXIT_OK = 0
@@ -36,22 +36,38 @@ EXIT_VALIDATION = 3
 EXIT_SUITE = 4
 
 
+def _ranged(convert, ok, expected: str):
+    """An argparse type: ``convert`` the text, then a usage error unless ``ok``."""
+
+    def parse(spec: str):
+        try:
+            if ok(value := convert(spec)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {spec!r}")
+
+    return parse
+
+
+_parse_P = _ranged(int, lambda P: P >= 0, "an int >= 0")
+_parse_grid_step = _ranged(float, lambda step: 0.0 < step <= 0.5, "a step in (0, 0.5]")
+_parse_fixed = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
+
+
 def _parse_threshold(spec: str) -> tuple[str, float | None]:
     if spec == "f1max":
         return ("f1max", None)
     if spec.startswith("fixed:"):
-        try:
-            return ("fixed", float(spec.split(":", 1)[1]))
-        except ValueError:
-            pass
+        return ("fixed", _parse_fixed(spec.split(":", 1)[1]))
     raise argparse.ArgumentTypeError(
         f"expected 'f1max' or 'fixed:<value>', got {spec!r}"
     )
 
 
-def _parse_int_list(spec: str) -> list[int]:
+def _parse_int_list(spec: str, item=int) -> list[int]:
     try:
-        values = [int(v) for v in spec.split(",") if v.strip() != ""]
+        values = [item(v) for v in spec.split(",") if v.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {spec!r}")
     if not values:
@@ -59,18 +75,28 @@ def _parse_int_list(spec: str) -> list[int]:
     return values
 
 
-def _validate_stream(
-    seq: str, packets: list[FramePacket], cfg: RunConfig
-) -> list[FramePacket]:
-    """Check frame contiguity and schedule/resolution agreement; rescale."""
+def _load_native(path: str) -> dict[str, list[FramePacket]]:
+    """Load a detection file in native coordinates: each packet rescaled once."""
+    return {
+        seq: [rescale_packet_to_native(p) for p in packets]
+        for seq, packets in load_detection_file(path).items()
+    }
+
+
+def _check_contiguous(sequences: dict[str, list[FramePacket]]) -> None:
+    for seq in sorted(sequences):
+        for i, packet in enumerate(sequences[seq]):
+            if packet.frame_index != i:
+                raise ValidationError(
+                    f"sequence {seq!r}: frame {packet.frame_index} out of order "
+                    f"(expected {i}; frames must be contiguous from 0)"
+                )
+
+
+def _validate_stream(seq: str, packets: list[FramePacket], cfg: RunConfig) -> None:
+    """Check that each frame's inference resolution is the one the schedule gives it."""
     sched = cfg.schedule
-    native_packets = []
-    for i, packet in enumerate(packets):
-        if packet.frame_index != i:
-            raise ValidationError(
-                f"sequence {seq!r}: frame {packet.frame_index} out of order "
-                f"(expected {i}; frames must be contiguous from 0)"
-            )
+    for packet in packets:
         expected = (
             sched.full_res if is_full_res(packet.frame_index, sched.P) else sched.low_res
         )
@@ -80,8 +106,6 @@ def _validate_stream(
                 f"sequence {seq!r} frame {packet.frame_index}: schedule P={sched.P} "
                 f"expects {kind} {expected}, file has {packet.inference_resolution}"
             )
-        native_packets.append(rescale_packet_to_native(packet))
-    return native_packets
 
 
 def _track_sequences(
@@ -91,9 +115,9 @@ def _track_sequences(
     results: dict[str, dict[int, list]] = {}
     created = removed = 0
     for seq in sorted(sequences):
-        packets = _validate_stream(seq, sequences[seq], cfg)
+        _validate_stream(seq, sequences[seq], cfg)
         state, outputs = run_sequence(
-            packets,
+            sequences[seq],
             cfg.tracker,
             cfg.rescore,
             rescore_enabled=cfg.rescore_enabled,
@@ -106,22 +130,20 @@ def _track_sequences(
 
 
 def _dets_for_eval(sequences: dict[str, list[FramePacket]]) -> dict:
-    dets = {}
-    for seq, packets in sequences.items():
-        for packet in packets:
-            native = rescale_packet_to_native(packet)
-            dets[(seq, packet.frame_index)] = list(native.detections)
-    return dets
+    return {
+        (seq, p.frame_index): list(p.detections)
+        for seq, packets in sequences.items()
+        for p in packets
+    }
 
 
 def _tracks_for_eval(track_outputs: dict[str, dict[int, list]]) -> dict:
-    dets = {}
-    for seq, frames in track_outputs.items():
-        for frame, outs in frames.items():
-            dets[(seq, frame)] = [
-                Detection(o.bbox, o.class_id, o.conf) for o in outs
-            ]
-    return dets
+    # evaluate reads only bbox, class_id and conf, which a TrackOutput has
+    return {
+        (seq, frame): outs
+        for seq, frames in track_outputs.items()
+        for frame, outs in frames.items()
+    }
 
 
 def _gt_for_eval(gt_sequences: dict) -> dict:
@@ -148,7 +170,8 @@ def cmd_track(args) -> int:
         emit_coasted=args.emit_coasted,
         rescore_enabled=args.rescore_enabled,
     )
-    sequences = load_detection_file(args.detections)
+    sequences = _load_native(args.detections)
+    _check_contiguous(sequences)
     results, created, removed = _track_sequences(sequences, cfg)
     save_track_file(args.out, results)
 
@@ -179,16 +202,13 @@ def _f1_max(
 
 def cmd_eval(args) -> int:
     if is_track_file(args.predictions):
-        track_data = load_track_file(args.predictions)
-        dets = _tracks_for_eval(track_data)
-        pred_ids = track_data.keys()
+        dets = _tracks_for_eval(load_track_file(args.predictions))
     else:
-        det_data = load_detection_file(args.predictions)
-        dets = _dets_for_eval(det_data)
-        pred_ids = det_data.keys()
+        dets = _dets_for_eval(_load_native(args.predictions))
 
     gt_data = load_groundtruth_file(args.groundtruth)
-    _check_sequences_covered(pred_ids, gt_data.keys())
+    # every loaded sequence has at least one frame, so it has a key in dets
+    _check_sequences_covered({seq for seq, _ in dets}, gt_data.keys())
     gts = _gt_for_eval(gt_data)
     kind, value = args.threshold
     if kind == "fixed":
@@ -205,24 +225,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _interleave(
-    full: list[FramePacket], low: list[FramePacket], P: int
-) -> list[FramePacket]:
-    if len(full) != len(low):
-        raise ValidationError(
-            f"full/low detection files disagree: {len(full)} vs {len(low)} frames"
-        )
-    stream = []
-    for f_pkt, l_pkt in zip(full, low):
-        if f_pkt.frame_index != l_pkt.frame_index:
-            raise ValidationError(
-                f"full/low frame indices disagree: {f_pkt.frame_index} "
-                f"vs {l_pkt.frame_index}"
-            )
-        stream.append(f_pkt if is_full_res(f_pkt.frame_index, P) else l_pkt)
-    return stream
-
-
 def cmd_sweep(args) -> int:
     cfg = load_run_config(
         args.config,
@@ -230,11 +232,20 @@ def cmd_sweep(args) -> int:
         emit_coasted=args.emit_coasted,
         rescore_enabled=args.rescore_enabled,
     )
-    full_seqs = load_detection_file(args.full)
-    low_seqs = load_detection_file(args.low)
+    full_seqs = _load_native(args.full)
+    low_seqs = _load_native(args.low)
     gt_data = load_groundtruth_file(args.gt)
     if sorted(full_seqs) != sorted(low_seqs):
         raise ValidationError("full/low detection files cover different sequences")
+    for seq in sorted(full_seqs):
+        if len(full_seqs[seq]) != len(low_seqs[seq]):
+            raise ValidationError(
+                f"full/low detection files disagree: {len(full_seqs[seq])} vs "
+                f"{len(low_seqs[seq])} frames"
+            )
+    # equal lengths and both contiguous: the two files share every frame index
+    _check_contiguous(full_seqs)
+    _check_contiguous(low_seqs)
     _check_sequences_covered(full_seqs.keys(), gt_data.keys())
     gts = _gt_for_eval(gt_data)
 
@@ -251,7 +262,7 @@ def cmd_sweep(args) -> int:
         sched = replace(cfg.schedule, P=P)
         row_cfg = replace(cfg, schedule=sched)
         streams = {
-            seq: _interleave(full_seqs[seq], low_seqs[seq], P)
+            seq: interleave(full_seqs[seq], low_seqs[seq], P)
             for seq in sorted(full_seqs)
         }
         baseline_report = evaluate(_dets_for_eval(streams), gts, baseline_thr)
@@ -318,7 +329,7 @@ def cmd_synth(args) -> int:
             raise ValidationError(
                 "interleaved output needs at least two configured resolutions"
             )
-        stream = _interleave(
+        stream = interleave(
             packets_by_res[by_area[0]], packets_by_res[by_area[-1]], args.P
         )
         name = f"detections_P{args.P}.jsonl"
@@ -369,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="built-in detector preset (overrides the config file's preset)",
         )
         if with_p:
-            p.add_argument("--P", type=int, help="low-res frames per full-res frame")
+            p.add_argument(
+                "--P", type=_parse_P, help="low-res frames per full-res frame"
+            )
         p.add_argument(
             "--emit-coasted",
             action="store_true",
@@ -399,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=("f1max", None),
         help="'f1max' or 'fixed:<value>' (default f1max)",
     )
-    p.add_argument("--grid-step", type=float, default=0.01)
+    p.add_argument("--grid-step", type=_parse_grid_step, default=0.01)
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_eval)
 
@@ -413,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--P-values",
         dest="P_values",
-        type=_parse_int_list,
+        type=lambda spec: _parse_int_list(spec, _parse_P),
         default=[0, 1, 2, 3, 4, 5],
         help="comma-separated P values (default 0,1,2,3,4,5)",
     )
@@ -423,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=("f1max", None),
         help="baseline threshold: 'f1max' (at full res) or 'fixed:<value>'",
     )
-    p.add_argument("--grid-step", type=float, default=0.01)
+    p.add_argument("--grid-step", type=_parse_grid_step, default=0.01)
     p.add_argument("--out", help="also write rows as JSONL")
     p.set_defaults(func=cmd_sweep)
 
@@ -433,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument(
         "--P",
-        type=int,
+        type=_parse_P,
         help="also write an interleaved detection file for this P",
     )
     p.set_defaults(func=cmd_synth)

@@ -78,8 +78,8 @@ class Detection:
 class FramePacket:
     """All detections of one frame, tagged with the inference resolution.
 
-    Detection coordinates are in ``inference_resolution`` space as produced
-    by the detector; use ``rescale_packet_to_native`` before tracking.
+    Coordinates are in ``inference_resolution`` space until the CLI converts
+    each loaded packet, once, with ``rescale_packet_to_native`` (tag kept).
     """
 
     frame_index: int

@@ -83,21 +83,6 @@ def match_frame_flags(
     return flags
 
 
-def match_frame(
-    dets: Sequence[Detection], gts: Sequence[GtObject]
-) -> tuple[list[Detection], list[Detection], int]:
-    """Split one frame's detections into (true positives, false positives, FN count).
-
-    Detections must be pre-sorted by descending confidence; matching is
-    greedy in that order.
-    """
-    flags = match_frame_flags(dets, gts)
-    tp = [d for d, f in zip(dets, flags) if f]
-    fp = [d for d, f in zip(dets, flags) if not f]
-    fn = len(gts) - len(tp)
-    return tp, fp, fn
-
-
 def average_precision(flags: Sequence[bool], n_gt: int) -> float:
     """All-point interpolated AP from confidence-ranked TP/FP flags."""
     if n_gt <= 0 or len(flags) == 0:

@@ -3,9 +3,9 @@
 Detections, tracks, and ground truth are newline-delimited JSON, one record
 per frame, read and written by one record codec: the three formats differ
 only in their header fields, their entries key and their entry parsers.
-Detection coordinates on disk live in the tagged inference resolution;
-loading clamps confidences to [0, 1 - epsilon] but keeps coordinates
-untouched (the tracking commands rescale to native resolution themselves).
+Detection coordinates on disk live in the tagged inference resolution, and
+loading keeps them (the CLI converts each loaded file once, in
+``cli._load_native``); it clamps confidences to [0, 1 - epsilon].
 Run configuration is a single YAML document with optional preset
 inheritance.
 """

@@ -8,15 +8,16 @@ lifecycle bookkeeping (tentative confirmation, stale removal), and
 emission of confirmed track observations.
 
 The resolution schedule interleaves P low-resolution inferences between
-consecutive full-resolution ones; ``mean_mac`` gives the resulting average
-per-frame compute cost and its relative reduction versus full-res-only
-operation.
+consecutive full-resolution ones. ``interleave`` picks each frame's packet
+from a full- and a low-resolution stream; ``mean_mac`` gives the resulting
+average per-frame compute cost and its relative reduction versus
+full-res-only operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .association import iou_matrix, match
 from .core import (
@@ -67,6 +68,14 @@ def is_full_res(t: int, P: int) -> bool:
     if t < 0 or P < 0:
         raise ValueError("frame index and P must be non-negative")
     return t % (P + 1) == 0
+
+
+def interleave(
+    full: Sequence[FramePacket], low: Sequence[FramePacket], P: int
+) -> list[FramePacket]:
+    """Frame by frame, ``full``'s packet where P schedules full res, else ``low``'s."""
+    pairs = zip(full, low, strict=True)
+    return [f if is_full_res(f.frame_index, P) else lo for f, lo in pairs]
 
 
 def mean_mac(s: ResolutionSchedule) -> MacSummary:

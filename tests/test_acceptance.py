@@ -31,7 +31,7 @@ from mrtrack.linattn import (
     naive_relu_attention,
     random_attention_input,
 )
-from mrtrack.pipeline import ResolutionSchedule, is_full_res, mean_mac, run_sequence
+from mrtrack.pipeline import ResolutionSchedule, interleave, mean_mac, run_sequence
 from mrtrack.rescore import rescore_update
 from mrtrack.synth import generate, profile_scenario
 from mrtrack.tracks import Track
@@ -247,6 +247,10 @@ class TestLinearAttention:
         )
 
 
+def _native(packets):
+    return [rescale_packet_to_native(p) for p in packets]
+
+
 @lru_cache(maxsize=None)
 def _standard_corpus():
     """Fixed-seed end-to-end corpus: cnn-like (30% low-res drops), P sweep."""
@@ -254,33 +258,20 @@ def _standard_corpus():
     sc = profile_scenario("cnn-like", seed=7, frame_count=240)
     gt_frames, emulate = generate(sc)
     gts = {("s", g.frame_index): list(g.objects) for g in gt_frames}
-    full = emulate(FULL)
-    low = emulate(LOW)
-
-    def interleave(P):
-        return [
-            rescale_packet_to_native(f if is_full_res(f.frame_index, P) else l)
-            for f, l in zip(full, low)
-        ]
+    full, low = _native(emulate(FULL)), _native(emulate(LOW))
 
     def dets_of(packets):
         return {("s", p.frame_index): list(p.detections) for p in packets}
 
-    def tracks_of(outputs):
-        return {
-            ("s", t): [Detection(o.bbox, o.class_id, o.conf) for o in outs]
-            for t, outs in outputs.items()
-        }
-
-    thr, _ = f1_max_threshold(dets_of(interleave(0)), gts, 0.01)
+    thr, _ = f1_max_threshold(dets_of(interleave(full, low, 0)), gts, 0.01)
     results = {}
     for P in (0, 5):
-        stream = interleave(P)
+        stream = interleave(full, low, P)
         baseline = evaluate(dets_of(stream), gts, thr)
         _, outs = run_sequence(
             stream, cfg.tracker, cfg.rescore, emit_coasted=True
         )
-        tracked = evaluate(tracks_of(outs), gts, 0.0)
+        tracked = evaluate({("s", t): o for t, o in outs.items()}, gts, 0.0)
         results[P] = (baseline, tracked)
     return results, gt_frames
 
@@ -304,11 +295,7 @@ class TestEndToEndTrends:
         cfg = preset_config("nanodet")
         sc = profile_scenario("vit-like", seed=11, frame_count=240)
         gt_frames, emulate = generate(sc)
-        full, low = emulate(FULL), emulate(LOW)
-        stream = [
-            rescale_packet_to_native(f if is_full_res(f.frame_index, 5) else l)
-            for f, l in zip(full, low)
-        ]
+        stream = interleave(_native(emulate(FULL)), _native(emulate(LOW)), 5)
         gt_by_frame = {g.frame_index: g.objects for g in gt_frames}
 
         def class_error_rate(outputs):

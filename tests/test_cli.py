@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import mrtrack
-from mrtrack.cli import EXIT_OK, EXIT_PARSE, EXIT_SUITE, EXIT_VALIDATION, main
+from mrtrack import cli
+from mrtrack.cli import EXIT_OK, EXIT_PARSE, EXIT_SUITE, EXIT_VALIDATION, build_parser, main
 from mrtrack.core import BBox, Detection, FramePacket
 from mrtrack.fileio import (
     load_track_file,
@@ -336,13 +337,13 @@ class TestSweepCommand:
 class TestStreamContract:
     """Tracked streams must run contiguously from frame 0, in full and low files alike."""
 
-    def _sweep(self, tmp_path, full, low):
+    def _sweep(self, tmp_path, full, low, *flags):
         """Exit code of `sweep` over {sequence: packets} maps for the two files."""
         paths = [tmp_path / name for name in ("full.jsonl", "low.jsonl", "gt.jsonl")]
         save_detection_file(paths[0], full)
         save_detection_file(paths[1], low)
         save_groundtruth_file(paths[2], {seq: _gt_frames() for seq in {**full, **low}})
-        return main(["sweep", *map(str, paths), "--preset", "nanodet"])
+        return main(["sweep", *map(str, paths), "--preset", "nanodet", *flags])
 
     def test_track_rejects_a_frame_gap(self, tmp_path, capsys):
         dets = tmp_path / "dets.jsonl"
@@ -364,6 +365,50 @@ class TestStreamContract:
         full = _cv_packets()[::2]
         low = _cv_packets(res=(192, 192))[::2]
         assert self._sweep(tmp_path, {"s": full}, {"s": low}) == EXIT_VALIDATION
+
+    def test_sweep_rescales_each_loaded_packet_once(self, tmp_path, monkeypatch):
+        rescale, calls = cli.rescale_packet_to_native, []
+
+        def counted(packet):
+            calls.append(packet.frame_index)
+            return rescale(packet)
+
+        monkeypatch.setattr(cli, "rescale_packet_to_native", counted)
+        full, low = _cv_packets(), _cv_packets(res=(192, 192))
+        rc = self._sweep(tmp_path, {"s": full}, {"s": low}, "--P-values", "0,1,2,3,4,5")
+        assert rc == EXIT_OK
+        assert len(calls) == len(full) + len(low)
+
+
+class TestArgumentChecks:
+    """Out-of-range flag values are usage errors that name the flag, not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["track", "d.jsonl", "--out", "t.jsonl", "--P", "-1"],
+            ["synth", "s.yaml", "--out", "o", "--P", "-2"],
+            ["sweep", "f.jsonl", "l.jsonl", "g.jsonl", "--P-values", "-1"],
+            ["eval", "p.jsonl", "g.jsonl", "--grid-step", "0"],
+            ["eval", "p.jsonl", "g.jsonl", "--grid-step", "nan"],
+            ["eval", "p.jsonl", "g.jsonl", "--threshold", "fixed:nan"],
+        ],
+        ids=["track-P", "synth-P", "sweep-P-values", "grid-step-0", "grid-step-nan",
+             "threshold-nan"],
+    )
+    def test_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARSE
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+    def test_range_ends_are_accepted(self):
+        args = build_parser().parse_args(
+            ["eval", "p.jsonl", "g.jsonl", "--threshold", "fixed:1", "--grid-step", "0.5"]
+        )
+        assert (args.threshold, args.grid_step) == (("fixed", 1.0), 0.5)
+        args = build_parser().parse_args(["sweep", "f", "l", "g", "--P-values", "0,5"])
+        assert args.P_values == [0, 5]
 
 
 class TestAttnCheckCommand:

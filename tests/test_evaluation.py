@@ -9,7 +9,7 @@ from mrtrack.evaluation import (
     average_precision,
     evaluate,
     f1_max_threshold,
-    match_frame,
+    match_frame_flags,
 )
 
 from oracles import f1_sweep_oracle
@@ -23,32 +23,38 @@ def _gt(x, y, size=10, cls=0):
     return (BBox(x, y, x + size, y + size), cls)
 
 
+def _frame_counts(dets, gts):
+    """(TP, FP, FN) of one frame from its match flags."""
+    flags = match_frame_flags(dets, gts)
+    return sum(flags), len(flags) - sum(flags), len(gts) - sum(flags)
+
+
 class TestMatchFrame:
+    """One frame's greedy matching, through ``match_frame_flags``."""
+
     def test_clean_hit(self):
         # IoU of the 1-px shifted box is 81/119 ~ 0.68
-        tp, fp, fn = match_frame([_det(1, 1)], [_gt(0, 0)])
-        assert (len(tp), len(fp), fn) == (1, 0, 0)
+        assert match_frame_flags([_det(1, 1)], [_gt(0, 0)]) == [True]
+        assert _frame_counts([_det(1, 1)], [_gt(0, 0)]) == (1, 0, 0)
 
     def test_low_overlap_is_fp_and_fn(self):
-        tp, fp, fn = match_frame([_det(6, 0)], [_gt(0, 0)])  # IoU = 4/16 = 0.25
-        assert (len(tp), len(fp), fn) == (0, 1, 1)
+        # IoU = 4/16 = 0.25
+        assert _frame_counts([_det(6, 0)], [_gt(0, 0)]) == (0, 1, 1)
 
     def test_exactly_half_iou_is_a_miss(self):
         # [0,0,10,20] vs [0,0,10,10]: inter 100, union 200
         det = Detection(BBox(0, 0, 10, 20), 0, 0.9)
-        tp, fp, fn = match_frame([det], [(BBox(0, 0, 10, 10), 0)])
-        assert (len(tp), fn) == (0, 1)
+        assert _frame_counts([det], [(BBox(0, 0, 10, 10), 0)]) == (0, 1, 1)
 
     def test_wrong_class_is_fp(self):
-        tp, fp, fn = match_frame([_det(0, 0, cls=1)], [_gt(0, 0, cls=0)])
-        assert (len(tp), len(fp), fn) == (0, 1, 1)
+        assert _frame_counts([_det(0, 0, cls=1)], [_gt(0, 0, cls=0)]) == (0, 1, 1)
 
     def test_greedy_confidence_order(self):
         dets = [_det(1, 1, conf=0.9), _det(2, 2, conf=0.8)]
-        tp, fp, fn = match_frame(dets, [_gt(0, 0)])
-        assert len(tp) == 1 and tp[0].conf == 0.9
-        assert len(fp) == 1 and fp[0].conf == 0.8
-        assert fn == 0
+        assert match_frame_flags(dets, [_gt(0, 0)]) == [True, False]
+        # the first detection claims the box although the second overlaps it exactly
+        dets = [_det(1, 1, conf=0.9), _det(0, 0, conf=0.8)]
+        assert match_frame_flags(dets, [_gt(0, 0)]) == [True, False]
 
 
 class TestAveragePrecision:
