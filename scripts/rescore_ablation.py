@@ -9,11 +9,11 @@ three-row comparison at a fixed interleave factor.
 
 import argparse
 import sys
+from dataclasses import replace
 
+from mrtrack.cli import sweep_reports
 from mrtrack.core import rescale_packet_to_native
-from mrtrack.evaluation import evaluate, f1_max_threshold
 from mrtrack.fileio import preset_config
-from mrtrack.pipeline import interleave, run_sequence
 from mrtrack.synth import generate, profile_scenario
 
 
@@ -28,27 +28,22 @@ def main() -> int:
     cfg = preset_config(args.preset, P=args.P)
     scenario = profile_scenario("vit-like", seed=args.seed, frame_count=args.frames)
     gt_frames, emulate = generate(scenario)
-    gts = {("s", g.frame_index): list(g.objects) for g in gt_frames}
-    full = [rescale_packet_to_native(p) for p in emulate(cfg.schedule.full_res)]
-    low = [rescale_packet_to_native(p) for p in emulate(cfg.schedule.low_res)]
-    stream = interleave(full, low, args.P)
+    full, low = (
+        {"s": [rescale_packet_to_native(p) for p in emulate(res)]}
+        for res in (cfg.schedule.full_res, cfg.schedule.low_res)
+    )
 
-    def dets_of(packets):
-        return {("s", p.frame_index): list(p.detections) for p in packets}
+    def scored(rescore):
+        run_cfg = replace(cfg, rescore_enabled=rescore, emit_coasted=True)
+        return sweep_reports(full, low, {"s": gt_frames}, run_cfg, [args.P])
 
-    thr, _ = f1_max_threshold(dets_of(full), gts, 0.01)
-    rows = [("frame-by-frame", evaluate(dets_of(stream), gts, thr))]
-
-    for label, rescore in (("naive tracking", False), ("rescored tracking", True)):
-        _, outputs = run_sequence(
-            stream,
-            cfg.tracker,
-            cfg.rescore,
-            rescore_enabled=rescore,
-            emit_coasted=True,
-        )
-        tracked = {("s", t): outs for t, outs in outputs.items()}
-        rows.append((label, evaluate(tracked, gts, 0.0)))
+    thr, [(baseline, naive)] = scored(False)
+    _, [(_, rescored)] = scored(True)
+    rows = [
+        ("frame-by-frame", baseline),
+        ("naive tracking", naive),
+        ("rescored tracking", rescored),
+    ]
 
     print(f"scenario: vit-like flips, P={args.P}, baseline threshold {thr:.2f}")
     print(f"{'method':<18s} {'mAP':>7s} {'prec':>7s} {'recall':>7s} {'F1':>7s}")

@@ -6,9 +6,10 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 from .core import FramePacket, rescale_packet_to_native
-from .evaluation import MetricsReport, evaluate, f1_max_threshold
+from .evaluation import GroundTruthFrame, MetricsReport, evaluate, f1_max_threshold
 from .fileio import (
     FileFormatError,
     PRESET_NAMES,
@@ -51,6 +52,7 @@ def _ranged(convert, ok, expected: str):
 
 
 _parse_P = _ranged(int, lambda P: P >= 0, "an int >= 0")
+_parse_positive = _ranged(int, lambda n: n > 0, "an int > 0")
 _parse_grid_step = _ranged(float, lambda step: 0.0 < step <= 0.5, "a step in (0, 0.5]")
 _parse_fixed = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
 
@@ -188,10 +190,14 @@ def cmd_track(args) -> int:
     return EXIT_OK
 
 
-def _f1_max(
-    dets: dict, gts: dict, grid_step: float, gt_path: str
-) -> tuple[float, MetricsReport]:
-    """F1-max threshold sweep; undefined without ground-truth objects."""
+def _threshold(
+    spec: tuple[str, float | None], dets: dict, gts: dict, grid_step: float, gt_path: str
+) -> float:
+    """The ``fixed:`` value, or the F1-max threshold of ``dets`` (undefined
+    without ground-truth objects)."""
+    kind, value = spec
+    if kind == "fixed":
+        return value
     if not any(gts.values()):
         raise ValidationError(
             f"{gt_path}: no ground-truth objects, so the F1-max threshold is "
@@ -210,11 +216,8 @@ def cmd_eval(args) -> int:
     # every loaded sequence has at least one frame, so it has a key in dets
     _check_sequences_covered({seq for seq, _ in dets}, gt_data.keys())
     gts = _gt_for_eval(gt_data)
-    kind, value = args.threshold
-    if kind == "fixed":
-        report = evaluate(dets, gts, value)
-    else:
-        _, report = _f1_max(dets, gts, args.grid_step, args.groundtruth)
+    thr = _threshold(args.threshold, dets, gts, args.grid_step, args.groundtruth)
+    report = evaluate(dets, gts, thr)
     print(render_report(report))
     if args.out:
         import json
@@ -225,6 +228,50 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def sweep_reports(
+    full: dict[str, list[FramePacket]],
+    low: dict[str, list[FramePacket]],
+    gt_sequences: dict[str, list[GroundTruthFrame]],
+    cfg: RunConfig,
+    P_values: Sequence[int],
+    threshold=("f1max", None),
+    grid_step=0.01,
+    gt_path="ground truth",
+) -> tuple[float, list[tuple[MetricsReport, MetricsReport]]]:
+    """Score the interleaved stream at each P, frame by frame and tracked.
+
+    ``full`` and ``low`` hold native-coordinate packets of the same frames.
+    The baseline threshold (``--threshold`` as parsed) is resolved once, from
+    the full-resolution detections. Returns it with a (baseline, tracked)
+    report pair per P: the interleaved detections at that threshold, and
+    the outputs of ``cfg``'s tracker with its schedule at P, at threshold 0.
+    """
+    if sorted(full) != sorted(low):
+        raise ValidationError("full/low detection files cover different sequences")
+    for seq in sorted(full):
+        if len(full[seq]) != len(low[seq]):
+            raise ValidationError(
+                f"full/low detection files disagree: {len(full[seq])} vs "
+                f"{len(low[seq])} frames"
+            )
+    # equal lengths and both contiguous: the two files share every frame index
+    _check_contiguous(full)
+    _check_contiguous(low)
+    _check_sequences_covered(full.keys(), gt_sequences.keys())
+    gts = _gt_for_eval(gt_sequences)
+    thr = _threshold(threshold, _dets_for_eval(full), gts, grid_step, gt_path)
+
+    reports = []
+    for P in P_values:
+        streams = {seq: interleave(full[seq], low[seq], P) for seq in sorted(full)}
+        baseline = evaluate(_dets_for_eval(streams), gts, thr)
+        tracked, _, _ = _track_sequences(
+            streams, replace(cfg, schedule=replace(cfg.schedule, P=P))
+        )
+        reports.append((baseline, evaluate(_tracks_for_eval(tracked), gts, 0.0)))
+    return thr, reports
+
+
 def cmd_sweep(args) -> int:
     cfg = load_run_config(
         args.config,
@@ -232,47 +279,16 @@ def cmd_sweep(args) -> int:
         emit_coasted=args.emit_coasted,
         rescore_enabled=args.rescore_enabled,
     )
-    full_seqs = _load_native(args.full)
-    low_seqs = _load_native(args.low)
-    gt_data = load_groundtruth_file(args.gt)
-    if sorted(full_seqs) != sorted(low_seqs):
-        raise ValidationError("full/low detection files cover different sequences")
-    for seq in sorted(full_seqs):
-        if len(full_seqs[seq]) != len(low_seqs[seq]):
-            raise ValidationError(
-                f"full/low detection files disagree: {len(full_seqs[seq])} vs "
-                f"{len(low_seqs[seq])} frames"
-            )
-    # equal lengths and both contiguous: the two files share every frame index
-    _check_contiguous(full_seqs)
-    _check_contiguous(low_seqs)
-    _check_sequences_covered(full_seqs.keys(), gt_data.keys())
-    gts = _gt_for_eval(gt_data)
-
-    # the baseline threshold comes from full-resolution detections only
-    full_dets = _dets_for_eval(full_seqs)
-    kind, value = args.threshold
-    if kind == "fixed":
-        baseline_thr = value
-    else:
-        baseline_thr, _ = _f1_max(full_dets, gts, args.grid_step, args.gt)
+    full, low = _load_native(args.full), _load_native(args.low)
+    baseline_thr, reports = sweep_reports(
+        full, low, load_groundtruth_file(args.gt), cfg, args.P_values,
+        args.threshold, args.grid_step, args.gt,
+    )
 
     rows = []
-    for P in args.P_values:
-        sched = replace(cfg.schedule, P=P)
-        row_cfg = replace(cfg, schedule=sched)
-        streams = {
-            seq: interleave(full_seqs[seq], low_seqs[seq], P)
-            for seq in sorted(full_seqs)
-        }
-        baseline_report = evaluate(_dets_for_eval(streams), gts, baseline_thr)
-        tracked_outputs, _, _ = _track_sequences(streams, row_cfg)
-        tracked_report = evaluate(_tracks_for_eval(tracked_outputs), gts, 0.0)
-        mac = mean_mac(sched)
-        for method, report in (
-            ("baseline", baseline_report),
-            ("tracked", tracked_report),
-        ):
+    for P, pair in zip(args.P_values, reports):
+        mac = mean_mac(replace(cfg.schedule, P=P))
+        for method, report in zip(("baseline", "tracked"), pair):
             rows.append(
                 {
                     "P": P,
@@ -454,10 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "attn-check", help="attention kernel equivalence and scaling suite"
     )
-    p.add_argument("--n-values", dest="n_values", type=_parse_int_list,
+    p.add_argument("--n-values", dest="n_values",
+                   type=lambda spec: _parse_int_list(spec, _parse_positive),
                    default=[8, 16, 32, 64])
-    p.add_argument("--d", type=int, default=16)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--d", type=_parse_positive, default=16)
+    p.add_argument("--trials", type=_parse_positive, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_attn_check)
@@ -470,13 +487,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
+    # a ValueError no loader turned into a ValidationError, e.g. a bad synth seed
+    except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -11,7 +11,7 @@ The evaluation threshold filters the detection set before any metric is
 computed; ``f1_max_threshold`` sweeps a confidence grid and returns the
 threshold maximizing mean F1 (ties toward the higher threshold). The sweep
 matches each frame once and scans the grid over per-class prefix counts
-of that one ranking, then runs ``evaluate`` at the chosen threshold.
+of that one ranking.
 """
 
 from __future__ import annotations
@@ -105,13 +105,14 @@ def _ranked(
     dets_by_frame: Mapping[FrameKey, Sequence[Detection]],
     gts_by_frame: Mapping[FrameKey, Sequence[GtObject]],
     threshold: float,
-) -> tuple[dict[int, list[tuple[float, FrameKey, int, bool]]], dict[int, int]]:
+) -> tuple[dict[int, list[tuple[float, bool]]], dict[int, int]]:
     """Match every frame at ``threshold``: per-class ranked records, GT counts.
 
-    A record is (conf, frame key, rank in its frame, TP flag); each class's
-    records are sorted by descending confidence, then frame key and rank.
+    A record is (conf, TP flag); each class's records are sorted by
+    descending confidence, then frame key and rank in its frame, the order
+    they are appended in, which the stable sort keeps among equal confidences.
     """
-    records: dict[int, list[tuple[float, FrameKey, int, bool]]] = {}
+    records: dict[int, list[tuple[float, bool]]] = {}
     n_gt: dict[int, int] = {}
     keys = sorted(set(dets_by_frame.keys()) | set(gts_by_frame.keys()))
     for key in keys:
@@ -124,10 +125,10 @@ def _ranked(
             key=lambda d: -d.conf,
         )
         flags = match_frame_flags(dets, gts)
-        for rank, (d, f) in enumerate(zip(dets, flags)):
-            records.setdefault(d.class_id, []).append((d.conf, key, rank, f))
+        for d, f in zip(dets, flags):
+            records.setdefault(d.class_id, []).append((d.conf, f))
     for recs in records.values():
-        recs.sort(key=lambda r: (-r[0], r[1], r[2]))
+        recs.sort(key=lambda r: -r[0])
     return records, n_gt
 
 
@@ -157,7 +158,7 @@ def evaluate(
     records, n_gt = _ranked(dets_by_frame, gts_by_frame, threshold)
     per_class: dict[int, ClassMetrics] = {}
     for cls in sorted(set(records) | set(n_gt)):
-        flags = [f for _, _, _, f in records.get(cls, [])]
+        flags = [f for _, f in records.get(cls, [])]
         gt_count = n_gt.get(cls, 0)
         tp = sum(flags)
         fp = len(flags) - tp
@@ -186,12 +187,12 @@ def f1_max_threshold(
     dets_by_frame: Mapping[FrameKey, Sequence[Detection]],
     gts_by_frame: Mapping[FrameKey, Sequence[GtObject]],
     grid_step: float = 0.01,
-) -> tuple[float, MetricsReport]:
+) -> float:
     """Confidence threshold maximizing mean F1 over a regular grid.
 
     The grid is {0, step, 2*step, ...} below 1 - epsilon, plus 1 - epsilon
-    itself; ties are broken toward the higher threshold. The report is
-    ``evaluate`` at the chosen threshold.
+    itself; ties are broken toward the higher threshold. ``evaluate`` at the
+    returned threshold gives that mean F1.
 
     Every frame is matched once, at threshold 0. Greedy matching in
     descending confidence makes a detection's TP flag depend only on the
@@ -220,7 +221,7 @@ def f1_max_threshold(
     counts: dict[int, list[tuple[int, int]]] = {}
     for cls, recs in records.items():
         ascending = np.array([r[0] for r in reversed(recs)])
-        prefix_tp = np.cumsum([0] + [r[3] for r in recs])
+        prefix_tp = np.cumsum([0] + [r[1] for r in recs])
         kept = len(recs) - np.searchsorted(ascending, grid, side="left")
         counts[cls] = list(zip(kept.tolist(), prefix_tp[kept].tolist()))
 
@@ -236,4 +237,4 @@ def f1_max_threshold(
         mean_f1 = _mean(f1s)
         if mean_f1 >= best_f1:
             best_thr, best_f1 = thr, mean_f1
-    return best_thr, evaluate(dets_by_frame, gts_by_frame, best_thr)
+    return best_thr

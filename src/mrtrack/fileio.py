@@ -19,7 +19,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .core import (
     BBox,
-    DEFAULT_EPSILON,
     Detection,
     FramePacket,
     RescoreConfig,
@@ -187,9 +186,7 @@ def _box_list(b: BBox) -> list[float]:
     return [float(v) for v in b.as_tuple()]
 
 
-def load_detection_file(
-    path: str | Path, epsilon: float = DEFAULT_EPSILON
-) -> dict[str, list[FramePacket]]:
+def load_detection_file(path: str | Path) -> dict[str, list[FramePacket]]:
     """Parse a detection file into per-sequence frame packets.
 
     Confidences are clamped to [0, 1 - epsilon]. A box is a ValidationError
@@ -213,7 +210,7 @@ def load_detection_file(
                 "motion filter needs a positive height"
             )
         cls = _index(_field(e, "class"), "class")
-        return Detection(bbox, cls, clamp_conf(_conf(_field(e, "conf")), epsilon))
+        return Detection(bbox, cls, clamp_conf(_conf(_field(e, "conf"))))
 
     return {
         seq: [FramePacket(f, *res, tuple(dets)) for f, res, dets in rows]
@@ -298,7 +295,6 @@ class RunConfig:
     tracker: TrackerConfig
     rescore: RescoreConfig
     schedule: ResolutionSchedule
-    preset: str | None = None
     rescore_enabled: bool = True
     emit_coasted: bool = False
 
@@ -338,8 +334,21 @@ def preset_config(name: str, P: int | None = None) -> RunConfig:
             mac_full=row["mac_full"],
             mac_low=row["mac_low"],
         ),
-        preset=name,
     )
+
+
+def _read_mapping(path: str | Path, what: str) -> dict:
+    """A YAML mapping, {} for an empty file; anything else is a FileFormatError."""
+    import yaml  # here, not at the top: most runs never read YAML
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh) or {}
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"{path}: invalid YAML: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{path}: {what} must be a mapping")
+    return doc
 
 
 def load_run_config(
@@ -349,73 +358,46 @@ def load_run_config(
     emit_coasted: bool | None = None,
     rescore_enabled: bool | None = None,
 ) -> RunConfig:
-    """Resolve a run configuration: preset defaults, then file, then flags."""
-    doc: dict = {}
-    if config_path is not None:
-        import yaml  # here, not at the top: most runs never read YAML
+    """Resolve a run configuration: preset defaults, then file, then flags.
 
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                doc = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as exc:
-            raise FileFormatError(f"{config_path}: invalid YAML: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise FileFormatError(f"{config_path}: config must be a mapping")
-
-    base_name = preset or doc.get("preset")
-    if base_name is None:
+    The file's ``schedule`` section applies before its top-level ``P``;
+    ``emit_coasted`` and ``rescore`` must be booleans.
+    """
+    doc = {} if config_path is None else _read_mapping(config_path, "config")
+    flags = dict(preset=preset, P=P, emit_coasted=emit_coasted, rescore=rescore_enabled)
+    doc.update((k, v) for k, v in flags.items() if v is not None)
+    if doc.get("preset") is None:
         raise ValidationError(
             "no preset given and no 'preset' key in the config file; "
             f"available presets: {', '.join(PRESET_NAMES)}"
         )
-    cfg = preset_config(str(base_name))
+    base = preset_config(str(doc["preset"]))
 
     try:
-        tracker_kw = dict(doc.get("tracker") or {})
-        if tracker_kw:
-            cfg = replace(
-                cfg,
-                tracker=replace(cfg.tracker, **tracker_kw),
-            )
+        for key in ("emit_coasted", "rescore"):
+            if type(doc.get(key, False)) is not bool:
+                raise ValueError(f"{key} must be true or false, got {doc[key]!r}")
         sched_kw = dict(doc.get("schedule") or {})
         for key in ("full_res", "low_res"):
             if key in sched_kw:
                 sched_kw[key] = (int(sched_kw[key][0]), int(sched_kw[key][1]))
-        if sched_kw:
-            cfg = replace(cfg, schedule=replace(cfg.schedule, **sched_kw))
-        rescore_kw = dict(doc.get("rescore_config") or {})
-        if rescore_kw:
-            cfg = replace(cfg, rescore=replace(cfg.rescore, **rescore_kw))
+        schedule = replace(base.schedule, **sched_kw)
+        if "P" in doc:
+            schedule = replace(schedule, P=int(doc["P"]))
+        return RunConfig(
+            tracker=replace(base.tracker, **dict(doc.get("tracker") or {})),
+            rescore=replace(base.rescore, **dict(doc.get("rescore_config") or {})),
+            schedule=schedule,
+            rescore_enabled=doc.get("rescore", True),
+            emit_coasted=doc.get("emit_coasted", False),
+        )
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{config_path}: bad config value: {exc}") from exc
-
-    if "P" in doc:
-        cfg = replace(cfg, schedule=replace(cfg.schedule, P=int(doc["P"])))
-    if "emit_coasted" in doc:
-        cfg = replace(cfg, emit_coasted=bool(doc["emit_coasted"]))
-    if "rescore" in doc:
-        cfg = replace(cfg, rescore_enabled=bool(doc["rescore"]))
-
-    if P is not None:
-        cfg = replace(cfg, schedule=replace(cfg.schedule, P=P))
-    if emit_coasted is not None:
-        cfg = replace(cfg, emit_coasted=emit_coasted)
-    if rescore_enabled is not None:
-        cfg = replace(cfg, rescore_enabled=rescore_enabled)
-    return cfg
 
 
 def load_scenario(path: str | Path, seed: int | None = None) -> SynthScenario:
     """Parse a scenario YAML document; an explicit seed overrides the file."""
-    import yaml
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise FileFormatError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: scenario must be a mapping")
+    doc = _read_mapping(path, "scenario")
     try:
         levels = tuple(
             DegradationLevel(

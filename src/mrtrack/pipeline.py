@@ -38,7 +38,8 @@ class ResolutionSchedule:
 
     ``P`` low-res frames separate consecutive full-res frames; the full-res
     fraction is 1 / (1 + P). MAC figures are per-inference totals (any unit,
-    as long as both share it).
+    as long as both share it); ``mac_full`` is positive, so the reduction
+    ``mean_mac`` reports is defined.
     """
 
     P: int
@@ -54,8 +55,10 @@ class ResolutionSchedule:
             raise ValueError(
                 f"low_res {self.low_res} exceeds full_res {self.full_res}"
             )
-        if self.mac_full < 0 or self.mac_low < 0:
-            raise ValueError("MAC counts must be non-negative")
+        if self.mac_full <= 0 or self.mac_low < 0:
+            raise ValueError(
+                f"need mac_full > 0 and mac_low >= 0, got {self.mac_full}, {self.mac_low}"
+            )
 
 
 class MacSummary(NamedTuple):
@@ -84,8 +87,6 @@ def mean_mac(s: ResolutionSchedule) -> MacSummary:
     reduction = 1 - mean / mac_full, i.e. the fraction of full-res-only
     compute saved by interleaving.
     """
-    if s.mac_full <= 0:
-        raise ValueError("mac_full must be positive for a defined reduction")
     rho = 1.0 / (1.0 + s.P)
     mean = rho * s.mac_full + (1.0 - rho) * s.mac_low
     return MacSummary(mean, 1.0 - mean / s.mac_full)

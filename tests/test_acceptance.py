@@ -8,12 +8,13 @@ command.
 """
 
 import time
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
 from mrtrack.association import match
-from mrtrack.cli import EXIT_OK, main
+from mrtrack.cli import EXIT_OK, main, sweep_reports
 from mrtrack.core import (
     BBox,
     Detection,
@@ -254,32 +255,19 @@ def _native(packets):
 @lru_cache(maxsize=None)
 def _standard_corpus():
     """Fixed-seed end-to-end corpus: cnn-like (30% low-res drops), P sweep."""
-    cfg = preset_config("nanodet")
+    cfg = replace(preset_config("nanodet"), emit_coasted=True)
     sc = profile_scenario("cnn-like", seed=7, frame_count=240)
     gt_frames, emulate = generate(sc)
-    gts = {("s", g.frame_index): list(g.objects) for g in gt_frames}
-    full, low = _native(emulate(FULL)), _native(emulate(LOW))
-
-    def dets_of(packets):
-        return {("s", p.frame_index): list(p.detections) for p in packets}
-
-    thr, _ = f1_max_threshold(dets_of(interleave(full, low, 0)), gts, 0.01)
-    results = {}
-    for P in (0, 5):
-        stream = interleave(full, low, P)
-        baseline = evaluate(dets_of(stream), gts, thr)
-        _, outs = run_sequence(
-            stream, cfg.tracker, cfg.rescore, emit_coasted=True
-        )
-        tracked = evaluate({("s", t): o for t, o in outs.items()}, gts, 0.0)
-        results[P] = (baseline, tracked)
-    return results, gt_frames
+    full, low = {"s": _native(emulate(FULL))}, {"s": _native(emulate(LOW))}
+    # the baseline threshold is the F1-max one of the full-resolution detections
+    _, reports = sweep_reports(full, low, {"s": gt_frames}, cfg, (0, 5))
+    return dict(zip((0, 5), reports))
 
 
 class TestEndToEndTrends:
     def test_recall_gap_at_p5(self):
         start = time.perf_counter()
-        results, _ = _standard_corpus()
+        results = _standard_corpus()
         baseline, tracked = results[5]
         gap = 100 * (tracked.mean_recall - baseline.mean_recall)
         elapsed = time.perf_counter() - start
@@ -334,7 +322,7 @@ class TestEndToEndTrends:
 
     def test_map_degradation_shape(self):
         start = time.perf_counter()
-        results, _ = _standard_corpus()
+        results = _standard_corpus()
         base0, track0 = results[0]
         base5, track5 = results[5]
         tracked_deg = 100 * (track0.map - track5.map)
@@ -376,7 +364,8 @@ class TestEvaluationCorrectness:
                 )
             dets[("p", t)] = frame
             gts[("p", t)] = objs
-        thr, report = f1_max_threshold(dets, gts, grid_step=0.01)
+        thr = f1_max_threshold(dets, gts, grid_step=0.01)
+        report = evaluate(dets, gts, thr)
         grid = [round(k * 0.01, 12) for k in range(100)] + [1 - 1e-4]
         want_thr, want_f1 = f1_sweep_oracle(dets, gts, grid, evaluate)
         sweep_ok = abs(thr - want_thr) <= 1e-12 and abs(report.mean_f1 - want_f1) <= 1e-12

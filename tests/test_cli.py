@@ -1,13 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mrtrack
-from mrtrack import cli
+from mrtrack import cli, evaluation
 from mrtrack.cli import EXIT_OK, EXIT_PARSE, EXIT_SUITE, EXIT_VALIDATION, build_parser, main
 from mrtrack.core import BBox, Detection, FramePacket
 from mrtrack.fileio import (
@@ -409,6 +414,209 @@ class TestArgumentChecks:
         assert (args.threshold, args.grid_step) == (("fixed", 1.0), 0.5)
         args = build_parser().parse_args(["sweep", "f", "l", "g", "--P-values", "0,5"])
         assert args.P_values == [0, 5]
+
+
+class TestMatchingPasses:
+    """How often evaluation matches each frame: the F1-max scan once, each report once."""
+
+    @pytest.fixture
+    def count_matches(self, monkeypatch):
+        original, calls = evaluation.match_frame_flags, []
+
+        def counted(dets, gts):
+            calls.append(1)
+            return original(dets, gts)
+
+        monkeypatch.setattr(evaluation, "match_frame_flags", counted)
+        return calls
+
+    def test_sweep_f1max_matches_each_frame_once_per_report(
+        self, tmp_path, corpus, count_matches
+    ):
+        dets, gt = corpus
+        low = tmp_path / "low.jsonl"
+        save_detection_file(low, {"s": _cv_packets(res=(192, 192))})
+        P_values = [0, 1, 2]
+        rc = main(["sweep", str(dets), str(low), str(gt), "--preset", "nanodet",
+                   "--P-values", ",".join(map(str, P_values))])
+        assert rc == EXIT_OK
+        # the threshold scan over the full-res frames, then a baseline and a
+        # tracked report per P
+        assert len(count_matches) == 15 * (1 + 2 * len(P_values))
+
+    def test_eval_f1max_matches_each_frame_twice(self, corpus, count_matches):
+        dets, gt = corpus
+        assert main(["eval", str(dets), str(gt), "--threshold", "f1max"]) == EXIT_OK
+        assert len(count_matches) == 2 * 15  # the scan, then the report
+
+
+def _run(argv) -> tuple[int, str]:
+    """Exit code and stderr of ``main`` run in-process; usage errors included."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+def _write_yaml(path: Path, doc) -> Path:
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def _scenario_doc(**changes) -> dict:
+    doc = {"seed": 5, "n_objects": 4, "frame_count": 6, "native_resolution": [320, 320],
+           "degradation": [{"resolution": [320, 320]}, {"resolution": [192, 192]}]}
+    return {**doc, **changes}
+
+
+def _bad_input_cases():
+    """(id, argv template over {tmp}, {dets} and {gt}, config or scenario file
+    contents or None, exit code)."""
+    track = ["track", "{dets}", "--preset", "nanodet", "--P", "0", "--out", "{tmp}/t.jsonl"]
+    with_config = ["track", "{dets}", "--config", "{tmp}/cfg.yaml", "--out", "{tmp}/t.jsonl"]
+    # a schedule the corpus fits, so only the config value can fail the run
+    at_p0 = with_config + ["--P", "0"]
+    synth = ["synth", "{tmp}/scenario.yaml", "--out", "{tmp}/corpus"]
+    cases = [
+        ("track-dir", ["track", "{tmp}", "--preset", "nanodet", "--out", "{tmp}/t.jsonl"],
+         None, EXIT_PARSE),
+        ("track-out-dir", track[:-1] + ["{tmp}"], None, EXIT_PARSE),
+        ("eval-out-dir", ["eval", "{dets}", "{gt}", "--out", "{tmp}"], None, EXIT_PARSE),
+        ("config-dir", track + ["--config", "{tmp}"], None, EXIT_PARSE),
+        ("synth-negative-seed", synth + ["--seed", "-1"], _scenario_doc(), EXIT_VALIDATION),
+        ("synth-zero-native", synth, _scenario_doc(native_resolution=[0, 320]),
+         EXIT_VALIDATION),
+        ("synth-zero-level", synth,
+         _scenario_doc(degradation=[{"resolution": [320, 320]}, {"resolution": [0, 192]}]),
+         EXIT_VALIDATION),
+        ("synth-size-over-frame", synth, _scenario_doc(size_range=[400, 500]),
+         EXIT_VALIDATION),
+        ("synth-reversed-speed", synth, _scenario_doc(speed_range=[3, 1]), EXIT_VALIDATION),
+        ("attn-d-0", ["attn-check", "--d", "0"], None, EXIT_PARSE),
+        ("attn-n-values-0", ["attn-check", "--n-values", "0"], None, EXIT_PARSE),
+        ("attn-trials-0", ["attn-check", "--trials", "0"], None, EXIT_PARSE),
+        ("config-mac-full-0", at_p0,
+         {"preset": "nanodet", "schedule": {"mac_full": 0}}, EXIT_VALIDATION),
+        ("config-P-negative", with_config,
+         {"preset": "nanodet", "P": -1}, EXIT_VALIDATION),
+        ("config-P-text", with_config,
+         {"preset": "nanodet", "P": "abc"}, EXIT_VALIDATION),
+        ("config-emit-coasted-string", at_p0,
+         {"preset": "nanodet", "emit_coasted": "false"}, EXIT_VALIDATION),
+        ("config-rescore-int", at_p0,
+         {"preset": "nanodet", "rescore": 0}, EXIT_VALIDATION),
+        ("config-not-utf8", with_config, b"P: \xff\n", EXIT_PARSE),
+        ("scenario-not-utf8", synth, b"seed: \xff\n", EXIT_PARSE),
+    ]
+    return [pytest.param(argv, doc, code, id=name) for name, argv, doc, code in cases]
+
+
+class TestNoTraceback:
+    """Bad arguments and files exit 2 or 3 with an `error:` line; nothing escapes main."""
+
+    @pytest.mark.parametrize("argv, doc, code", _bad_input_cases())
+    def test_bad_input_exits_cleanly(self, tmp_path, corpus, argv, doc, code):
+        dets, gt = corpus
+        if doc is not None:
+            target = "scenario.yaml" if argv[0] == "synth" else "cfg.yaml"
+            if isinstance(doc, bytes):
+                (tmp_path / target).write_bytes(doc)
+            else:
+                _write_yaml(tmp_path / target, doc)
+        argv = [a.format(tmp=tmp_path, dets=dets, gt=gt) for a in argv]
+        rc, err = _run(argv)
+        assert rc == code, err
+        assert "error:" in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A tiny corpus plus good and bad inputs for every argument of every command."""
+    root = tmp_path_factory.mktemp("fuzz")
+    scenario = _write_yaml(root / "scenario.yaml", _scenario_doc())
+    corpus = root / "corpus"
+    assert _run(["synth", str(scenario), "--out", str(corpus), "--P", "2"])[0] == EXIT_OK
+    tracks = root / "tracks.jsonl"
+    assert _run(["track", str(corpus / "detections_P2.jsonl"), "--preset", "nanodet",
+                 "--P", "2", "--out", str(tracks)])[0] == EXIT_OK
+    (root / "garbage.jsonl").write_text("{not json\n")
+    (root / "latin1.yaml").write_bytes(b"preset: \xe9\n")
+    (root / "empty.jsonl").write_text("")
+    (root / "out").mkdir()
+    bad = [str(root), str(root / "missing.jsonl"), str(root / "garbage.jsonl"),
+           str(root / "empty.jsonl"), str(root / "latin1.yaml")]
+    configs = [
+        _write_yaml(root / f"cfg{i}.yaml", doc)
+        for i, doc in enumerate([
+            {"preset": "yolox", "P": 2}, {"emit_coasted": "no"}, {"preset": "nanodet", "P": -3},
+            {"preset": "nanodet", "schedule": {"mac_full": 0}}, ["preset"],
+            {"preset": "effvit", "tracker": {"tau_iou": 2}},
+        ])
+    ]
+    scenarios = [
+        _write_yaml(root / f"scenario{i}.yaml", doc)
+        for i, doc in enumerate([
+            _scenario_doc(), _scenario_doc(native_resolution=[0, 320]),
+            _scenario_doc(speed_range=[3, 1]), {"seed": 1},
+        ])
+    ]
+    dets = [str(corpus / n) for n in ("detections_320x320.jsonl", "detections_192x192.jsonl",
+                                      "detections_P2.jsonl")]
+    return {
+        "root": root,
+        "dets": dets + bad,
+        "preds": dets + [str(tracks)] + bad,
+        "gt": [str(corpus / "gt.jsonl")] + dets[:1] + bad,
+        "config": [str(c) for c in configs] + bad,
+        "scenario": [str(c) for c in scenarios] + bad,
+    }
+
+
+_INTS = ["0", "1", "2", "5", "-1", "x", ""]
+
+
+@st.composite
+def _argv(draw, files):
+    """One command line: a subcommand with valid and invalid values in every slot."""
+    pick = lambda values: draw(st.sampled_from(values))  # noqa: E731
+    maybe = lambda flag, values: [flag, pick(values)] if draw(st.booleans()) else []  # noqa: E731
+    out = str(files["root"] / "out" / pick(["o.jsonl", ""])) if draw(st.booleans()) \
+        else str(files["root"] / "no-such-dir" / "o.jsonl")
+    config = (maybe("--config", files["config"]) + maybe("--preset", ["nanodet", "effvit"])
+              + draw(st.sampled_from([[], ["--emit-coasted"], ["--no-rescore"]])))
+    threshold = maybe("--threshold", ["f1max", "fixed:0.3", "fixed:2", "nonsense"])
+    grid = maybe("--grid-step", ["0.01", "0.5", "0", "nan"])
+    command = pick(["track", "eval", "sweep", "synth", "attn-check"])
+    if command == "track":
+        return ["track", pick(files["dets"]), *config, *maybe("--P", _INTS), "--out", out]
+    if command == "eval":
+        return ["eval", pick(files["preds"]), pick(files["gt"]), *threshold, *grid,
+                *maybe("--out", [out])]
+    if command == "sweep":
+        return ["sweep", pick(files["dets"]), pick(files["dets"]), pick(files["gt"]), *config,
+                *maybe("--P-values", ["0,2", "1", "-1", "", "a", "0,0"]), *threshold, *grid,
+                *maybe("--out", [out])]
+    if command == "synth":
+        return ["synth", pick(files["scenario"]), "--out",
+                str(files["root"] / pick(["synth-out", "garbage.jsonl"])),
+                *maybe("--seed", _INTS), *maybe("--P", _INTS)]
+    return ["attn-check", *maybe("--n-values", ["1", "4,8", "0", "-1", "a"]),
+            *maybe("--d", ["1", "4", "0"]), *maybe("--trials", ["1", "2", "0"]),
+            *maybe("--tol", ["1e-6", "0", "nan"]), *maybe("--seed", ["0", "-1"])]
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_command_line_exits_with_a_documented_code(self, fuzz_files, data):
+        argv = data.draw(_argv(fuzz_files))
+        rc, err = _run(argv)
+        assert rc in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_SUITE), err
+        if rc in (EXIT_PARSE, EXIT_VALIDATION):
+            assert "error:" in err
 
 
 class TestAttnCheckCommand:

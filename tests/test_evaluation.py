@@ -173,16 +173,16 @@ class TestF1MaxThreshold:
     def test_single_tp_returns_largest_harmless_grid_value(self):
         dets = {("a", 0): [_det(1, 1, conf=0.7)]}
         gts = {("a", 0): [_gt(0, 0)]}
-        thr, report = f1_max_threshold(dets, gts, grid_step=0.05)
+        thr = f1_max_threshold(dets, gts, grid_step=0.05)
         assert thr == pytest.approx(0.7)
-        assert report.mean_f1 == pytest.approx(1.0)
+        assert evaluate(dets, gts, thr).mean_f1 == pytest.approx(1.0)
 
     def test_all_fp_returns_top_of_grid(self):
         dets = {("a", 0): [_det(100, 100, conf=0.6)]}
         gts = {("a", 0): [_gt(0, 0)]}
-        thr, report = f1_max_threshold(dets, gts, grid_step=0.1)
+        thr = f1_max_threshold(dets, gts, grid_step=0.1)
         assert thr == pytest.approx(1 - 1e-4)
-        assert report.mean_f1 == 0.0
+        assert evaluate(dets, gts, thr).mean_f1 == 0.0
 
     def test_empty_ground_truth_is_an_error(self):
         with pytest.raises(ValueError):
@@ -206,11 +206,11 @@ class TestF1MaxThreshold:
                 )
             dets[("p", t)] = frame
             gts[("p", t)] = objs
-        thr, report = f1_max_threshold(dets, gts, grid_step=0.01)
+        thr = f1_max_threshold(dets, gts, grid_step=0.01)
         grid = [k * 0.01 for k in range(100)] + [1 - 1e-4]
         want_thr, want_f1 = f1_sweep_oracle(dets, gts, grid, evaluate)
         assert thr == pytest.approx(want_thr, abs=1e-12)
-        assert report.mean_f1 == pytest.approx(want_f1, abs=1e-12)
+        assert evaluate(dets, gts, thr).mean_f1 == pytest.approx(want_f1, abs=1e-12)
         # the planted FP band ends at 0.55 and real TPs start at 0.6
         assert 0.55 < thr <= 0.61
 
@@ -254,13 +254,12 @@ class TestSinglePassSweep:
     def test_equals_exhaustive_sweep(self, corpus, step):
         dets, gts = corpus
         assume(any(gts.values()))
-        thr, report = f1_max_threshold(dets, gts, step)
+        thr = f1_max_threshold(dets, gts, step)
         want = f1_sweep_oracle(dets, gts, _grid(step), evaluate)
-        assert (thr, report.mean_f1) == want
-        assert report == evaluate(dets, gts, thr)
+        assert (thr, evaluate(dets, gts, thr).mean_f1) == want
 
-    def test_matches_each_frame_at_most_twice(self, monkeypatch):
-        # once for the scan and once for the report at the chosen threshold
+    def test_matches_each_frame_at_most_once(self, monkeypatch):
+        # the scan ranks every frame once; no report is built
         calls = []
         original = evaluation.match_frame_flags
 
@@ -272,4 +271,4 @@ class TestSinglePassSweep:
         dets = {("m", t): [_det(t % 5, 0, conf=0.05 * t)] for t in range(15)}
         gts = {("m", t): [_gt(0, 0)] for t in range(3, 18)}
         f1_max_threshold(dets, gts, grid_step=0.01)
-        assert 0 < len(calls) <= 2 * len(set(dets) | set(gts))
+        assert 0 < len(calls) <= len(set(dets) | set(gts))

@@ -76,9 +76,9 @@ class TestMeanMac:
         assert 100 * mac.reduction == pytest.approx(32.0, abs=0.5)
 
     def test_zero_full_cost_is_an_error(self):
-        s = ResolutionSchedule(1, (320, 320), (192, 192), 0.0, 0.0)
+        # the schedule itself rejects it, so mean_mac never sees one
         with pytest.raises(ValueError):
-            mean_mac(s)
+            ResolutionSchedule(1, (320, 320), (192, 192), 0.0, 0.0)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
