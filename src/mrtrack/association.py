@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Detection
 from .tracks import Track
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,8 @@ def iou_matrix(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarray
     corners come from the Kalman means by the arithmetic of
     ``core.cxcyah_to_bbox`` and the IoU by that of ``core.iou``, broadcast.
     """
+    import numpy as np
+
     if not dets or not tracks:
         # the second pass often has nothing on one side; skip the array set-up
         return np.zeros((len(dets), len(tracks)))
@@ -79,6 +82,8 @@ def match(cost_matrix: np.ndarray, tau_iou: float) -> MatchResult:
     2-vCPU x86 host, where a compiled solver takes under 1 ms. Tracker frames
     give components of at most about a dozen, most of them a single pair.
     """
+    import numpy as np
+
     n, m = cost_matrix.shape
     if n == 0 or m == 0:
         return MatchResult((), tuple(range(n)), tuple(range(m)))

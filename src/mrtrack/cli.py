@@ -27,7 +27,6 @@ from .fileio import (
     save_groundtruth_file,
     save_track_file,
 )
-from .linattn import run_attention_checks
 from .pipeline import interleave, is_full_res, mean_mac, run_sequence
 from .synth import generate
 
@@ -55,6 +54,7 @@ _parse_P = _ranged(int, lambda P: P >= 0, "an int >= 0")
 _parse_positive = _ranged(int, lambda n: n > 0, "an int > 0")
 _parse_grid_step = _ranged(float, lambda step: 0.0 < step <= 0.5, "a step in (0, 0.5]")
 _parse_fixed = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
+_parse_tol = _ranged(float, lambda tol: 0.0 <= tol < float("inf"), "a finite value >= 0")
 
 
 def _parse_threshold(spec: str) -> tuple[str, float | None]:
@@ -321,6 +321,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_synth(args) -> int:
     sc = load_scenario(args.scenario, seed=args.seed)
+    if args.P is not None and len(sc.degradation) < 2:
+        raise ValidationError(
+            "interleaved output needs at least two configured resolutions"
+        )
     gt_frames, emulate = generate(sc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -341,10 +345,6 @@ def cmd_synth(args) -> int:
         by_area = sorted(
             packets_by_res, key=lambda res: res[0] * res[1], reverse=True
         )
-        if len(by_area) < 2:
-            raise ValidationError(
-                "interleaved output needs at least two configured resolutions"
-            )
         stream = interleave(
             packets_by_res[by_area[0]], packets_by_res[by_area[-1]], args.P
         )
@@ -362,6 +362,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_attn_check(args) -> int:
+    from .linattn import run_attention_checks
+
     report = run_attention_checks(
         n_values=args.n_values,
         d=args.d,
@@ -475,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[8, 16, 32, 64])
     p.add_argument("--d", type=_parse_positive, default=16)
     p.add_argument("--trials", type=_parse_positive, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_parse_tol, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_attn_check)
 

@@ -16,10 +16,10 @@ of that one ranking.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .core import BBox, DEFAULT_EPSILON, Detection, iou
 
@@ -84,21 +84,23 @@ def match_frame_flags(
 
 
 def average_precision(flags: Sequence[bool], n_gt: int) -> float:
-    """All-point interpolated AP from confidence-ranked TP/FP flags."""
+    """All-point interpolated AP from confidence-ranked TP/FP flags.
+
+    Sums (recall step) x (precision envelope) rank by rank. An FP rank adds
+    a zero step, and its precision is below that of the TP rank before it,
+    so it never sets the envelope: the sum runs over the TP ranks alone.
+    """
     if n_gt <= 0 or len(flags) == 0:
         return 0.0
-    flags_arr = np.asarray(flags, dtype=float)
-    tp = np.cumsum(flags_arr)
-    fp = np.cumsum(1.0 - flags_arr)
-    recall = tp / n_gt
-    precision = tp / (tp + fp)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    prev_r = 0.0
-    for r, p in zip(recall, envelope):
+    tp_ranks = [rank for rank, f in enumerate(flags, 1) if f]
+    precision = [tp / rank for tp, rank in enumerate(tp_ranks, 1)]
+    envelope = list(accumulate(reversed(precision), max))
+    ap = prev_r = 0.0
+    for tp, p in enumerate(reversed(envelope), 1):
+        r = tp / n_gt
         ap += (r - prev_r) * p
         prev_r = r
-    return float(ap)
+    return ap
 
 
 def _ranked(
@@ -183,6 +185,23 @@ def evaluate(
     )
 
 
+def grid_counts(
+    records: Sequence[tuple[float, bool]], grid: Sequence[float]
+) -> list[tuple[int, int]]:
+    """(kept, TP) counts of ranked records at each grid threshold.
+
+    ``records`` are (conf, TP flag) in descending confidence; a record is
+    kept at a threshold when its confidence is >= it, so the kept records
+    are a prefix of the ranking.
+    """
+    ascending = [r[0] for r in reversed(records)]
+    prefix_tp = list(accumulate((r[1] for r in records), initial=0))
+    return [
+        (kept, prefix_tp[kept])
+        for kept in (len(records) - bisect_left(ascending, thr) for thr in grid)
+    ]
+
+
 def f1_max_threshold(
     dets_by_frame: Mapping[FrameKey, Sequence[Detection]],
     gts_by_frame: Mapping[FrameKey, Sequence[GtObject]],
@@ -217,13 +236,7 @@ def f1_max_threshold(
     grid.append(top)
 
     records, n_gt = _ranked(dets_by_frame, gts_by_frame, 0.0)
-    # class -> (kept, TP) counts at each grid point; kept counts conf >= thr
-    counts: dict[int, list[tuple[int, int]]] = {}
-    for cls, recs in records.items():
-        ascending = np.array([r[0] for r in reversed(recs)])
-        prefix_tp = np.cumsum([0] + [r[1] for r in recs])
-        kept = len(recs) - np.searchsorted(ascending, grid, side="left")
-        counts[cls] = list(zip(kept.tolist(), prefix_tp[kept].tolist()))
+    counts = {cls: grid_counts(recs, grid) for cls, recs in records.items()}
 
     classes = sorted(set(records) | set(n_gt))
     best_thr, best_f1 = grid[0], -1.0

@@ -22,10 +22,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import BBox, bbox_to_cxcyah, cxcyah_to_bbox
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +62,8 @@ class KalmanState:
     @property
     def covariance(self) -> np.ndarray:
         """The full 8x8 covariance, assembled from the four blocks."""
+        import numpy as np
+
         cov = np.zeros((8, 8))
         for i in range(4):
             cov[i, i] = self.var_p[i]

@@ -143,7 +143,11 @@ def step(
 
     With ``emit_coasted`` unmatched confirmed tracks also emit their
     predicted boxes (until removed after ``tau_dead`` missed frames);
-    otherwise only tracks updated this frame are emitted.
+    otherwise only tracks updated this frame are emitted. Nothing floors a
+    coasting height: it follows ``h + vh``, so a shrinking track's height
+    can pass 0, and ``cxcyah_to_bbox`` then clamps the emitted box to zero
+    height and width at the predicted center. Such boxes are emitted until
+    ``tau_dead``; the Kalman mean stays finite.
     """
     if frame.frame_index != state.frame_index + 1:
         raise ValueError(

@@ -11,10 +11,9 @@ regardless of query order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .core import BBox, Detection, FramePacket, Resolution, clamp_conf, rescale_bbox
 from .evaluation import GroundTruthFrame
@@ -31,6 +30,8 @@ class DegradationLevel:
     bbox_jitter_std: float = 0.0
 
     def __post_init__(self) -> None:
+        if min(self.resolution) <= 0:
+            raise ValueError(f"resolution must be positive: {self.resolution}")
         for p in (self.drop_prob, self.class_flip_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability out of [0, 1]: {p}")
@@ -62,6 +63,23 @@ class SynthScenario:
             raise ValueError(f"n_classes must be >= 1: {self.n_classes}")
         if not 0.0 <= self.direction_change_prob <= 1.0:
             raise ValueError("direction_change_prob out of [0, 1]")
+        if min(self.native_resolution) <= 0:
+            raise ValueError(
+                f"native_resolution must be positive: {self.native_resolution}"
+            )
+        # every range is sampled uniformly: its ends must be finite and ordered
+        for name in ("speed_range", "size_range", "base_conf_range"):
+            low, high = getattr(self, name)
+            if not -math.inf < low <= high < math.inf:
+                raise ValueError(f"{name} must be finite with low <= high: ({low}, {high})")
+        for name in ("speed_range", "size_range"):
+            if getattr(self, name)[0] < 0.0:
+                raise ValueError(f"{name} must be non-negative: {getattr(self, name)}")
+        if self.size_range[1] > min(self.native_resolution):
+            raise ValueError(
+                f"size_range upper end {self.size_range[1]} exceeds the frame's "
+                f"smaller side {min(self.native_resolution)}"
+            )
         if not self.degradation:
             raise ValueError("at least one degradation level required")
         seen = set()
@@ -102,6 +120,8 @@ class _Trajectory:
 
 
 def _build_trajectories(sc: SynthScenario) -> list[_Trajectory]:
+    import numpy as np
+
     rng = np.random.default_rng([sc.seed, 1])
     width, height = sc.native_resolution
     trajectories = []
@@ -152,6 +172,8 @@ def generate(
     The emulator maps an inference resolution to the full packet sequence
     at that resolution, detections in inference-space coordinates.
     """
+    import numpy as np
+
     trajectories = _build_trajectories(sc)
     gt_frames = [
         GroundTruthFrame(

@@ -97,6 +97,37 @@ def rescore_oracle_step(cl_j, conf_agg, history, cl_i, conf_i,
     return cl_j, conf_j, conf_agg, history, switched
 
 
+def average_precision_oracle(flags, n_gt):
+    """All-point interpolated AP with numpy prefix sums over every rank.
+
+    The numpy form ``evaluation.average_precision`` had before it ran in
+    pure Python over the TP ranks; the same additions in the same order.
+    """
+    if n_gt <= 0 or len(flags) == 0:
+        return 0.0
+    flags_arr = np.asarray(flags, dtype=float)
+    tp = np.cumsum(flags_arr)
+    fp = np.cumsum(1.0 - flags_arr)
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = 0.0
+    prev_r = 0.0
+    for r, p in zip(recall, envelope):
+        ap += (r - prev_r) * p
+        prev_r = r
+    return float(ap)
+
+
+def grid_counts_oracle(records, grid):
+    """(kept, TP) per grid threshold by ``np.searchsorted`` over the ascending
+    confidences and a numpy TP prefix sum."""
+    ascending = np.array([r[0] for r in reversed(records)])
+    prefix_tp = np.cumsum([0] + [r[1] for r in records])
+    kept = len(records) - np.searchsorted(ascending, grid, side="left")
+    return list(zip(kept.tolist(), prefix_tp[kept].tolist()))
+
+
 def f1_sweep_oracle(dets_by_frame, gts_by_frame, grid, evaluate_fn):
     """Exhaustive grid sweep; later (higher) thresholds win ties."""
     best_thr, best_f1 = None, -1.0

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -131,17 +132,50 @@ class TestTrackCommand:
         assert "Traceback" not in proc.stderr
 
 
-# prints which of the optional heavy modules a fresh interpreter has loaded
-_LOADED = "print(sorted({'scipy', 'yaml'} & set(sys.modules)))"
+# prints which of the heavy modules a fresh interpreter has loaded
+_LOADED = "print(sorted({'numpy', 'scipy', 'yaml'} & set(sys.modules)))"
 
 
 class TestStartup:
-    """Start-up cost: the CLI and its tracking commands import neither scipy nor yaml."""
+    """Start-up cost: numpy loads only in the commands that compute with it, and
+    scipy and yaml load in none of them. One fresh interpreter per case."""
+
+    def _loaded(self, statement):
+        proc = _python("-c", f"import sys\n{statement}\n{_LOADED}")
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1]
+
+    def _run_main(self, argv):
+        # --help exits through SystemExit(0); a command returns its exit code
+        return self._loaded(
+            f"import mrtrack.cli\ntry:\n    code = mrtrack.cli.main({argv!r})\n"
+            f"except SystemExit as exc:\n    code = exc.code\nassert code == 0, code"
+        )
+
+    def test_package_import_loads_none(self):
+        assert self._loaded("import mrtrack") == "[]"
 
     def test_cli_import_does_not_load_scipy(self):
-        proc = _python("-c", f"import sys, mrtrack.cli; {_LOADED}")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert self._loaded("import mrtrack.cli") == "[]"
+
+    @pytest.mark.parametrize("command", ["track", "eval", "sweep", "synth", "attn-check"])
+    def test_help_loads_none(self, command):
+        assert self._run_main([command, "--help"]) == "[]"
+
+    @pytest.mark.parametrize("threshold", ["f1max", "fixed:0.5"])
+    @pytest.mark.parametrize("kind", ["detections", "tracks"])
+    def test_eval_loads_none(self, corpus, tmp_path, kind, threshold):
+        dets, gt = corpus
+        predictions = dets
+        if kind == "tracks":
+            predictions = tmp_path / "tracks.jsonl"
+            assert main(["track", str(dets), "--preset", "nanodet", "--P", "0",
+                         "--out", str(predictions)]) == EXIT_OK
+        out = tmp_path / "report.json"
+        argv = ["eval", str(predictions), str(gt), "--threshold", threshold,
+                "--out", str(out)]
+        assert self._run_main(argv) == "[]"
+        assert out.stat().st_size > 0
 
     @pytest.fixture
     def synth_corpus(self, tmp_path):
@@ -151,23 +185,38 @@ class TestStartup:
         assert main(["synth", str(scenario), "--out", str(out), "--P", "2"]) == EXIT_OK
         return out
 
-    def _run_main(self, argv):
-        proc = _python("-c", f"import sys, mrtrack.cli; mrtrack.cli.main({argv!r}); {_LOADED}")
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip().splitlines()[-1]
-
     def test_track_does_not_load_scipy(self, synth_corpus, tmp_path):
         argv = ["track", str(synth_corpus / "detections_P2.jsonl"), "--preset", "nanodet",
                 "--P", "2", "--out", str(tmp_path / "tracks.jsonl")]
-        assert self._run_main(argv) == "[]"
+        assert self._run_main(argv) == "['numpy']"
         assert (tmp_path / "tracks.jsonl").stat().st_size > 0
 
     def test_sweep_does_not_load_scipy(self, synth_corpus, tmp_path):
         argv = ["sweep", str(synth_corpus / "detections_320x320.jsonl"),
                 str(synth_corpus / "detections_192x192.jsonl"), str(synth_corpus / "gt.jsonl"),
                 "--preset", "nanodet", "--P-values", "0,2", "--out", str(tmp_path / "rows.jsonl")]
-        assert self._run_main(argv) == "[]"
+        assert self._run_main(argv) == "['numpy']"
         assert (tmp_path / "rows.jsonl").stat().st_size > 0
+
+
+class TestLazyPackage:
+    """``mrtrack``'s public names resolve on access to their submodules' objects."""
+
+    def test_each_name_is_the_submodule_object(self):
+        assert len(mrtrack.__all__) == 44
+        for name in mrtrack.__all__:
+            module = importlib.import_module(f"mrtrack.{mrtrack._SOURCES[name]}")
+            value = getattr(mrtrack, name)
+            assert value is getattr(module, name), name
+            # the table names the module that defines it, not one that imports it
+            assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+    def test_star_import_and_unknown_name(self):
+        namespace = {}
+        exec("from mrtrack import *", namespace)
+        assert {k for k in namespace if k != "__builtins__"} == set(mrtrack.__all__)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mrtrack.no_such_name
 
 
 class TestEvalCommand:
@@ -397,9 +446,11 @@ class TestArgumentChecks:
             ["eval", "p.jsonl", "g.jsonl", "--grid-step", "0"],
             ["eval", "p.jsonl", "g.jsonl", "--grid-step", "nan"],
             ["eval", "p.jsonl", "g.jsonl", "--threshold", "fixed:nan"],
+            ["attn-check", "--tol", "nan"],
+            ["attn-check", "--tol", "-1"],
         ],
         ids=["track-P", "synth-P", "sweep-P-values", "grid-step-0", "grid-step-nan",
-             "threshold-nan"],
+             "threshold-nan", "tol-nan", "tol-negative"],
     )
     def test_rejected_at_parse_time(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -530,6 +581,47 @@ class TestNoTraceback:
         rc, err = _run(argv)
         assert rc == code, err
         assert "error:" in err
+
+
+class TestScenarioChecks:
+    """A scenario that synth cannot generate exits 3, naming the file, before
+    anything is written: ``--out`` is not even created."""
+
+    @pytest.mark.parametrize("changes, extra, message", [
+        pytest.param({"degradation": [{"resolution": [320, 320]}, {"resolution": [0, 192]}]},
+                     [], "resolution must be positive", id="level-zero-resolution"),
+        pytest.param({"native_resolution": [0, 320]}, [],
+                     "native_resolution must be positive", id="native-zero"),
+        pytest.param({"speed_range": [3, 1]}, [], "speed_range must be finite",
+                     id="speed-reversed"),
+        pytest.param({"speed_range": [-1, 2]}, [], "speed_range must be non-negative",
+                     id="speed-negative"),
+        pytest.param({"speed_range": [1, float("inf")]}, [], "speed_range must be finite",
+                     id="speed-inf"),
+        pytest.param({"speed_range": [float("nan"), 1]}, [], "speed_range must be finite",
+                     id="speed-nan"),
+        pytest.param({"size_range": [72, 28]}, [], "size_range must be finite",
+                     id="size-reversed"),
+        pytest.param({"size_range": [-4, 20]}, [], "size_range must be non-negative",
+                     id="size-negative"),
+        # most draws fit the 200-px side: unchecked, only some seeds would fail
+        pytest.param({"native_resolution": [320, 200], "size_range": [28, 210],
+                      "degradation": [{"resolution": [320, 200]}]}, [],
+                     "exceeds the frame's smaller side 200", id="size-over-smaller-side"),
+        pytest.param({"base_conf_range": [0.9, 0.7]}, [], "base_conf_range must be finite",
+                     id="base-conf-reversed"),
+        pytest.param({"degradation": [{"resolution": [320, 320]}]}, ["--P", "2"],
+                     "needs at least two configured resolutions", id="P-with-one-level"),
+    ])
+    def test_rejected_before_writing(self, tmp_path, changes, extra, message):
+        scenario = _write_yaml(tmp_path / "scenario.yaml", _scenario_doc(**changes))
+        out = tmp_path / "corpus"
+        rc, err = _run(["synth", str(scenario), "--out", str(out), *extra])
+        assert rc == EXIT_VALIDATION, err
+        assert message in err
+        if not extra:
+            assert f"error: {scenario}: invalid scenario: " in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from mrtrack.evaluation import (
     match_frame_flags,
 )
 
-from oracles import f1_sweep_oracle
+from oracles import average_precision_oracle, f1_sweep_oracle, grid_counts_oracle
 
 
 def _det(x, y, size=10, cls=0, conf=0.9):
@@ -70,6 +70,17 @@ class TestAveragePrecision:
     def test_no_gt(self):
         assert average_precision([False, False], 0) == 0.0
         assert average_precision([], 0) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.booleans(), max_size=80), st.integers(-3, 3))
+    @example([], 1)
+    @example([True] * 6, 0)
+    @example([False] * 6, 0)
+    @example([True, False, True, True], -2)
+    def test_equals_numpy_oracle_exactly(self, flags, delta):
+        # n_gt below (recall passes 1), at and above the TP count
+        n_gt = max(sum(flags) + delta, 0)
+        assert average_precision(flags, n_gt) == average_precision_oracle(flags, n_gt)
 
     def test_monotone_rescaling_invariance(self):
         # AP depends only on the confidence ranking, so a strictly monotone
@@ -257,6 +268,20 @@ class TestSinglePassSweep:
         thr = f1_max_threshold(dets, gts, step)
         want = f1_sweep_oracle(dets, gts, _grid(step), evaluate)
         assert (thr, evaluate(dets, gts, thr).mean_f1) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(
+            st.one_of(st.sampled_from(_TIED_CONFS), st.floats(0.0, 1.0)), st.booleans()
+        ), max_size=30),
+        st.sampled_from([0.01, 0.05, 0.1, 0.5]),
+    )
+    # 0.7 is the grid point 14 * 0.05, and a record exactly on it is kept there
+    @example([(0.7, True), (0.7, False), (0.65, True)], 0.05)
+    def test_grid_counts_equal_searchsorted_oracle(self, records, step):
+        records.sort(key=lambda r: -r[0])
+        grid = _grid(step)
+        assert evaluation.grid_counts(records, grid) == grid_counts_oracle(records, grid)
 
     def test_matches_each_frame_at_most_once(self, monkeypatch):
         # the scan ranks every frame once; no report is built

@@ -1,8 +1,14 @@
 import copy
+import io
+import math
+from contextlib import redirect_stdout
 
 import pytest
 
+from mrtrack.cli import EXIT_OK, main
 from mrtrack.core import BBox, Detection, FramePacket, RescoreConfig, TrackerConfig
+from mrtrack.evaluation import GroundTruthFrame
+from mrtrack.fileio import load_track_file, save_groundtruth_file, save_track_file
 from mrtrack.pipeline import (
     ResolutionSchedule,
     TrackerState,
@@ -165,6 +171,37 @@ class TestStepLifecycle:
         assert len(outs) == 1
         # the coasted box keeps moving at the estimated velocity
         assert outs[0].bbox.x1 > 10
+
+
+    def test_coasting_through_zero_height_emits_clamped_boxes(self, tmp_path):
+        # the height shrinks 16 px a frame, so coasting drives it below 0;
+        # cxcyah_to_bbox clamps the emitted box to a zero-size point
+        state, emitted = TrackerState(), {}
+        boxes = [BBox(100, 100, 140, 100 + h) for h in (80, 64, 48, 32)]
+        for t in range(4 + TCFG.tau_dead):
+            dets = [Detection(boxes[t], 0, 0.9)] if t < len(boxes) else []
+            state, emitted[t] = step(state, _packet(t, dets), TCFG, RCFG, emit_coasted=True)
+            for track in state.active_tracks:
+                assert all(math.isfinite(v) for v in track.kf_state.mean)
+                assert t == 0 or track.kf_state.mean[7] < 0.0
+        coasted = [emitted[t] for t in range(4, 4 + TCFG.tau_dead)]
+        # emitted for each of the first tau_dead - 1 misses, removed at the last
+        assert [len(outs) for outs in coasted] == [1] * (TCFG.tau_dead - 1) + [0]
+        assert state.active_tracks == [] and state.removed_count == 1
+        heights = [outs[0].bbox.height for outs in coasted[:-1]]
+        assert heights[0] > 0.0 and heights[-2:] == [0.0, 0.0]
+        for outs in coasted[:-1]:
+            box = outs[0].bbox
+            assert box.x1 <= box.x2 and box.y1 <= box.y2
+
+        tracks, gt = tmp_path / "tracks.jsonl", tmp_path / "gt.jsonl"
+        save_track_file(tracks, {"s": emitted})
+        assert load_track_file(tracks) == {"s": emitted}
+        save_groundtruth_file(gt, {"s": [
+            GroundTruthFrame(t, ((boxes[min(t, 3)], 0),)) for t in emitted
+        ]})
+        with redirect_stdout(io.StringIO()):
+            assert main(["eval", str(tracks), str(gt)]) == EXIT_OK
 
 
 class TestStepTracking:
