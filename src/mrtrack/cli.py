@@ -85,14 +85,23 @@ def _load_native(path: str) -> dict[str, list[FramePacket]]:
     }
 
 
-def _check_contiguous(sequences: dict[str, list[FramePacket]]) -> None:
-    for seq in sorted(sequences):
-        for i, packet in enumerate(sequences[seq]):
-            if packet.frame_index != i:
-                raise ValidationError(
-                    f"sequence {seq!r}: frame {packet.frame_index} out of order "
-                    f"(expected {i}; frames must be contiguous from 0)"
-                )
+def _check_streams(*files: dict[str, list[FramePacket]]) -> None:
+    """Each sequence runs contiguously from frame 0 at one native resolution,
+    the same in every file; the caller checks the files' sequences agree."""
+    for seq in sorted(files[0]):
+        native = files[0][seq][0].native_resolution
+        for packets in (f[seq] for f in files):
+            for i, packet in enumerate(packets):
+                if packet.frame_index != i:
+                    raise ValidationError(
+                        f"sequence {seq!r}: frame {packet.frame_index} out of order "
+                        f"(expected {i}; frames must be contiguous from 0)"
+                    )
+                if packet.native_resolution != native:
+                    raise ValidationError(
+                        f"sequence {seq!r} frame {i}: native resolution "
+                        f"{packet.native_resolution}, not the sequence's {native}"
+                    )
 
 
 def _validate_stream(seq: str, packets: list[FramePacket], cfg: RunConfig) -> None:
@@ -127,7 +136,7 @@ def _track_sequences(
         )
         results[seq] = outputs
         created += state.next_track_id
-        removed += state.removed_count
+        removed += state.next_track_id - len(state.active_tracks)
     return results, created, removed
 
 
@@ -173,7 +182,7 @@ def cmd_track(args) -> int:
         rescore_enabled=args.rescore_enabled,
     )
     sequences = _load_native(args.detections)
-    _check_contiguous(sequences)
+    _check_streams(sequences)
     results, created, removed = _track_sequences(sequences, cfg)
     save_track_file(args.out, results)
 
@@ -255,8 +264,7 @@ def sweep_reports(
                 f"{len(low[seq])} frames"
             )
     # equal lengths and both contiguous: the two files share every frame index
-    _check_contiguous(full)
-    _check_contiguous(low)
+    _check_streams(full, low)
     _check_sequences_covered(full.keys(), gt_sequences.keys())
     gts = _gt_for_eval(gt_sequences)
     thr = _threshold(threshold, _dets_for_eval(full), gts, grid_step, gt_path)

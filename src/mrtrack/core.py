@@ -121,19 +121,16 @@ class TrackerConfig:
 class RescoreConfig:
     """Parameters of the confidence-fusion update."""
 
-    epsilon: float = DEFAULT_EPSILON
     history_len: int = 3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon out of (0, 1): {self.epsilon}")
         if self.history_len < 1:
             raise ValueError(f"history_len must be >= 1: {self.history_len}")
 
 
-def clamp_conf(conf: float, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Clamp a raw confidence into [0, 1 - epsilon]."""
-    return min(max(conf, 0.0), 1.0 - epsilon)
+def clamp_conf(conf: float) -> float:
+    """Clamp a raw confidence into [0, 1 - DEFAULT_EPSILON]."""
+    return min(max(conf, 0.0), 1.0 - DEFAULT_EPSILON)
 
 
 def iou(a: BBox, b: BBox) -> float:

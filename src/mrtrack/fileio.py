@@ -6,16 +6,19 @@ only in their header fields, their entries key and their entry parsers.
 Detection coordinates on disk live in the tagged inference resolution, and
 loading keeps them (the CLI converts each loaded file once, in
 ``cli._load_native``); it clamps confidences to [0, 1 - epsilon].
-Run configuration is a single YAML document with optional preset
-inheritance.
+Run configuration and synthetic scenarios are YAML documents, read by the
+field types of the dataclasses they fill; a run configuration can inherit
+a preset.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import (
+    Callable, Mapping, NamedTuple, Sequence, get_args, get_origin, get_type_hints,
+)
 
 from .core import (
     BBox,
@@ -29,7 +32,7 @@ from .core import (
 )
 from .evaluation import GroundTruthFrame, MetricsReport
 from .pipeline import ResolutionSchedule
-from .synth import DegradationLevel, SynthScenario
+from .synth import SynthScenario
 from .tracks import TrackOutput
 
 
@@ -319,13 +322,7 @@ def preset_config(name: str, P: int | None = None) -> RunConfig:
         )
     row = _PRESET_TABLE[name]
     return RunConfig(
-        tracker=TrackerConfig(
-            high_threshold=row["high"],
-            low_threshold=row["low"],
-            tau_iou=0.3,
-            tau_init=2,
-            tau_dead=5,
-        ),
+        tracker=TrackerConfig(high_threshold=row["high"], low_threshold=row["low"]),
         rescore=RescoreConfig(),
         schedule=ResolutionSchedule(
             P=row["P"] if P is None else P,
@@ -343,12 +340,77 @@ def _read_mapping(path: str | Path, what: str) -> dict:
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh) or {}
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            doc = yaml.safe_load(fh)
+    # ValueError: an integer over the interpreter's digit limit
+    except (yaml.YAMLError, UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise FileFormatError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
+    if doc is not None and type(doc) is not dict:
         raise FileFormatError(f"{path}: {what} must be a mapping")
-    return doc
+    return doc or {}
+
+
+# What a YAML value needs to fill a field of each scalar type. yaml.safe_load
+# gives exact built-in types, and ``type(v) is int`` excludes bool.
+_SCALARS = {
+    int: ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    float: ("a number", lambda v: type(v) in _NUMBERS),
+    bool: ("true or false", lambda v: type(v) is bool),
+}
+
+
+def _check_keys(mapping: dict, known, prefix: str) -> None:
+    for key in mapping:
+        if key not in known:
+            raise ValueError(f"unknown key {prefix}{key}; known: {', '.join(known)}")
+
+
+def _fields(cls, mapping, what: str) -> dict:
+    """A YAML mapping as keyword arguments of dataclass ``cls``, each value
+    parsed by its field's type. ``what`` names the mapping ("" at the top)."""
+    if type(mapping) is not dict:
+        raise ValueError(f"{what} must be a mapping, got {mapping!r}")
+    types = get_type_hints(cls)
+    prefix = f"{what}." if what else ""
+    _check_keys(mapping, types, prefix)
+    return {k: _parse(types[k], v, prefix + k) for k, v in mapping.items()}
+
+
+def _parse(tp, value, what: str):
+    """A YAML value as type ``tp``: a dataclass from a mapping, a tuple from a
+    list, a scalar by ``_SCALARS``; nothing is coerced. A missing required
+    dataclass field is a KeyError, any other mismatch a ValueError.
+    """
+    if is_dataclass(tp):
+        kwargs = _fields(tp, value, what)
+        for f in fields(tp):
+            if f.default is MISSING and f.name not in kwargs:
+                raise KeyError(f"{what}.{f.name}" if what else f.name)
+        return tp(**kwargs)
+    if get_origin(tp) is tuple:
+        types = get_args(tp)
+        if types[-1] is Ellipsis and type(value) is list:
+            types = types[:1] * len(value)
+        if type(value) is not list or len(value) != len(types):
+            raise ValueError(f"bad {what} {value!r}: need a list of {len(types)}")
+        items = enumerate(zip(types, value))
+        return tuple(_parse(t, v, f"{what}[{i}]") for i, (t, v) in items)
+    needs, ok = _SCALARS[tp]
+    if not ok(value):
+        raise ValueError(f"bad {what} {value!r}: need {needs}")
+    try:
+        return tp(value)
+    except OverflowError:
+        raise ValueError(f"bad {what} {value!r}: out of float range") from None
+
+
+def _override(obj, mapping, what: str):
+    """``obj`` with the fields a YAML mapping sets."""
+    return replace(obj, **_fields(type(obj), mapping, what))
+
+
+# a config file's top-level keys: the preset, its overrides and two toggles
+_CONFIG_KEYS = ("preset", "P", "emit_coasted", "rescore", "tracker", "schedule",
+                "rescore_config")
 
 
 def load_run_config(
@@ -360,8 +422,8 @@ def load_run_config(
 ) -> RunConfig:
     """Resolve a run configuration: preset defaults, then file, then flags.
 
-    The file's ``schedule`` section applies before its top-level ``P``;
-    ``emit_coasted`` and ``rescore`` must be booleans.
+    The file's ``schedule`` section applies before its top-level ``P``.
+    Every value needs its field's YAML type, and every key must be known.
     """
     doc = {} if config_path is None else _read_mapping(config_path, "config")
     flags = dict(preset=preset, P=P, emit_coasted=emit_coasted, rescore=rescore_enabled)
@@ -374,93 +436,46 @@ def load_run_config(
     base = preset_config(str(doc["preset"]))
 
     try:
-        for key in ("emit_coasted", "rescore"):
-            if type(doc.get(key, False)) is not bool:
-                raise ValueError(f"{key} must be true or false, got {doc[key]!r}")
-        sched_kw = dict(doc.get("schedule") or {})
-        for key in ("full_res", "low_res"):
-            if key in sched_kw:
-                sched_kw[key] = (int(sched_kw[key][0]), int(sched_kw[key][1]))
-        schedule = replace(base.schedule, **sched_kw)
+        _check_keys(doc, _CONFIG_KEYS, "")
+        schedule = _override(base.schedule, doc.get("schedule", {}), "schedule")
         if "P" in doc:
-            schedule = replace(schedule, P=int(doc["P"]))
+            schedule = _override(schedule, {"P": doc["P"]}, "")
         return RunConfig(
-            tracker=replace(base.tracker, **dict(doc.get("tracker") or {})),
-            rescore=replace(base.rescore, **dict(doc.get("rescore_config") or {})),
+            tracker=_override(base.tracker, doc.get("tracker", {}), "tracker"),
+            rescore=_override(base.rescore, doc.get("rescore_config", {}), "rescore_config"),
             schedule=schedule,
-            rescore_enabled=doc.get("rescore", True),
-            emit_coasted=doc.get("emit_coasted", False),
+            rescore_enabled=_parse(bool, doc.get("rescore", True), "rescore"),
+            emit_coasted=_parse(bool, doc.get("emit_coasted", False), "emit_coasted"),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"{config_path}: bad config value: {exc}") from exc
 
 
-def load_scenario(path: str | Path, seed: int | None = None) -> SynthScenario:
-    """Parse a scenario YAML document; an explicit seed overrides the file."""
+def load_scenario(path: str | Path, **overrides) -> SynthScenario:
+    """Parse a scenario YAML document; each override that is not None (the
+    CLI's ``--seed``) replaces the file's value."""
     doc = _read_mapping(path, "scenario")
+    doc.update((k, v) for k, v in overrides.items() if v is not None)
     try:
-        levels = tuple(
-            DegradationLevel(
-                resolution=(int(lv["resolution"][0]), int(lv["resolution"][1])),
-                drop_prob=float(lv.get("drop_prob", 0.0)),
-                class_flip_prob=float(lv.get("class_flip_prob", 0.0)),
-                conf_noise_std=float(lv.get("conf_noise_std", 0.0)),
-                bbox_jitter_std=float(lv.get("bbox_jitter_std", 0.0)),
-            )
-            for lv in doc.get("degradation", ())
-        )
-        kwargs = dict(
-            seed=int(doc["seed"]) if seed is None else seed,
-            n_objects=int(doc["n_objects"]),
-            frame_count=int(doc["frame_count"]),
-            native_resolution=(
-                int(doc["native_resolution"][0]),
-                int(doc["native_resolution"][1]),
-            ),
-            degradation=levels,
-        )
-        for key in (
-            "n_classes",
-            "direction_change_prob",
-        ):
-            if key in doc:
-                kwargs[key] = doc[key]
-        for key in ("speed_range", "size_range", "base_conf_range"):
-            if key in doc:
-                kwargs[key] = (float(doc[key][0]), float(doc[key][1]))
-        return SynthScenario(**kwargs)
+        return _parse(SynthScenario, doc, "")
     except KeyError as exc:
         raise FileFormatError(f"{path}: missing scenario field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"{path}: invalid scenario: {exc}") from exc
 
 
+def _plain(value):
+    """A dataclass as a dict in field order, tuples as lists: YAML-ready."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return list(map(_plain, value)) if type(value) is tuple else value
+
+
 def save_scenario(path: str | Path, sc: SynthScenario) -> None:
-    doc = {
-        "seed": sc.seed,
-        "n_objects": sc.n_objects,
-        "frame_count": sc.frame_count,
-        "native_resolution": list(sc.native_resolution),
-        "n_classes": sc.n_classes,
-        "speed_range": list(sc.speed_range),
-        "size_range": list(sc.size_range),
-        "base_conf_range": list(sc.base_conf_range),
-        "direction_change_prob": sc.direction_change_prob,
-        "degradation": [
-            {
-                "resolution": list(lv.resolution),
-                "drop_prob": lv.drop_prob,
-                "class_flip_prob": lv.class_flip_prob,
-                "conf_noise_std": lv.conf_noise_std,
-                "bbox_jitter_std": lv.bbox_jitter_std,
-            }
-            for lv in sc.degradation
-        ],
-    }
     import yaml
 
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+        yaml.safe_dump(_plain(sc), fh, sort_keys=False)
 
 
 def report_to_dict(report: MetricsReport) -> dict:

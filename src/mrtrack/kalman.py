@@ -22,12 +22,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .core import BBox, bbox_to_cxcyah, cxcyah_to_bbox
-
-if TYPE_CHECKING:
-    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -58,18 +54,6 @@ class KalmanState:
     var_p: Quad
     cov_pv: Quad
     var_v: Quad
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """The full 8x8 covariance, assembled from the four blocks."""
-        import numpy as np
-
-        cov = np.zeros((8, 8))
-        for i in range(4):
-            cov[i, i] = self.var_p[i]
-            cov[i, 4 + i] = cov[4 + i, i] = self.cov_pv[i]
-            cov[4 + i, 4 + i] = self.var_v[i]
-        return cov
 
 
 def kf_init(measurement: BBox) -> KalmanState:

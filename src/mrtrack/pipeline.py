@@ -16,11 +16,13 @@ full-res-only operation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .association import iou_matrix, match
 from .core import (
+    DEFAULT_EPSILON,
     Detection,
     FramePacket,
     RescoreConfig,
@@ -55,9 +57,9 @@ class ResolutionSchedule:
             raise ValueError(
                 f"low_res {self.low_res} exceeds full_res {self.full_res}"
             )
-        if self.mac_full <= 0 or self.mac_low < 0:
+        if not (0 < self.mac_full < math.inf and 0 <= self.mac_low < math.inf):
             raise ValueError(
-                f"need mac_full > 0 and mac_low >= 0, got {self.mac_full}, {self.mac_low}"
+                f"need finite mac_full > 0 and mac_low >= 0: {self.mac_full}, {self.mac_low}"
             )
 
 
@@ -99,7 +101,6 @@ class TrackerState:
     active_tracks: list[Track] = field(default_factory=list)
     next_track_id: int = 0
     frame_index: int = -1
-    removed_count: int = 0
 
 
 def _apply_match(
@@ -117,7 +118,7 @@ def _apply_match(
         decision = RescoreDecision(
             det.class_id,
             det.conf,
-            min(det.conf, 1.0 - rcfg.epsilon),
+            min(det.conf, 1.0 - DEFAULT_EPSILON),
             det.class_id != track.class_id,
             (det.conf,),
         )
@@ -185,7 +186,7 @@ def step(
             t.mark_missed(tcfg.tau_dead)
 
     for di in first.unmatched_detections:
-        t = Track.from_detection(state.next_track_id, d_high[di], rcfg.epsilon)
+        t = Track.from_detection(state.next_track_id, d_high[di])
         state.next_track_id += 1
         if t.hit_streak >= tcfg.tau_init:
             t.status = TrackStatus.CONFIRMED
@@ -199,9 +200,6 @@ def step(
     ]
     outputs.sort(key=lambda o: o.track_id)
 
-    state.removed_count += sum(
-        1 for t in tracks if t.status is TrackStatus.REMOVED
-    )
     state.active_tracks = [t for t in tracks if t.status is not TrackStatus.REMOVED]
     state.frame_index = frame.frame_index
     return state, outputs

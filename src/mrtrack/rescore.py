@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import Detection, RescoreConfig
+from .core import DEFAULT_EPSILON, Detection, RescoreConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tracks import Track
@@ -70,5 +70,5 @@ def rescore_update(
     else:
         history = (*track.recent_confs, det.conf)[-cfg.history_len:]
     new_conf = sum(history) / len(history)
-    conf_agg = min(conf_agg, 1.0 - cfg.epsilon)
+    conf_agg = min(conf_agg, 1.0 - DEFAULT_EPSILON)
     return RescoreDecision(new_class, new_conf, conf_agg, switched, history)

@@ -12,7 +12,7 @@ regardless of query order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from .core import BBox, Detection, FramePacket, Resolution, clamp_conf, rescale_bbox
@@ -35,8 +35,9 @@ class DegradationLevel:
         for p in (self.drop_prob, self.class_flip_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability out of [0, 1]: {p}")
-        if self.conf_noise_std < 0 or self.bbox_jitter_std < 0:
-            raise ValueError("noise std must be non-negative")
+        for std in (self.conf_noise_std, self.bbox_jitter_std):
+            if not 0.0 <= std < math.inf:
+                raise ValueError(f"noise std must be finite and non-negative: {std}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,8 @@ class SynthScenario:
         for name in ("speed_range", "size_range"):
             if getattr(self, name)[0] < 0.0:
                 raise ValueError(f"{name} must be non-negative: {getattr(self, name)}")
+        if self.size_range[1] == 0.0:
+            raise ValueError("size_range must not be (0, 0): boxes need a height")
         if self.size_range[1] > min(self.native_resolution):
             raise ValueError(
                 f"size_range upper end {self.size_range[1]} exceeds the frame's "
@@ -115,7 +118,6 @@ class SynthScenario:
 class _Trajectory:
     class_id: int
     base_conf: float
-    size: tuple[float, float]
     boxes: tuple[BBox, ...]
 
 
@@ -158,9 +160,7 @@ def _build_trajectories(sc: SynthScenario) -> list[_Trajectory]:
             if cy + h / 2 > height:
                 cy = 2 * height - h - cy
                 vy = -vy
-        trajectories.append(
-            _Trajectory(class_id, base_conf, (w, h), tuple(boxes))
-        )
+        trajectories.append(_Trajectory(class_id, base_conf, tuple(boxes)))
     return trajectories
 
 
@@ -260,10 +260,9 @@ def profile_scenario(
         raise ValueError(f"unknown profile {profile!r}; have {sorted(_PROFILES)}")
     full_kw, low_kw = _PROFILES[profile]
     low_kw = dict(low_kw)
-    for key in list(overrides):
-        if key in ("drop_prob", "class_flip_prob", "conf_noise_std",
-                   "bbox_jitter_std"):
-            low_kw[key] = overrides.pop(key)
+    for f in fields(DegradationLevel):
+        if f.name in overrides:
+            low_kw[f.name] = overrides.pop(f.name)
     return SynthScenario(
         seed=seed,
         n_objects=n_objects,

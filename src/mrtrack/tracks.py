@@ -31,16 +31,14 @@ class Track:
     status: TrackStatus = TrackStatus.TENTATIVE
 
     @classmethod
-    def from_detection(
-        cls, track_id: int, det: Detection, epsilon: float = 1e-4
-    ) -> "Track":
+    def from_detection(cls, track_id: int, det: Detection) -> "Track":
         """Start a tentative track; conf_agg mirrors the creating detection."""
         return cls(
             track_id=track_id,
             kf_state=kf_init(det.bbox),
             class_id=det.class_id,
             conf=det.conf,
-            conf_agg=clamp_conf(det.conf, epsilon),
+            conf_agg=clamp_conf(det.conf),
             recent_confs=[det.conf],
         )
 

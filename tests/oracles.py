@@ -155,6 +155,16 @@ def _cxcyah(box):
     return np.array([(x1 + x2) / 2.0, (y1 + y2) / 2.0, (x2 - x1) / h, h])
 
 
+def covariance(state):
+    """The full 8x8 covariance of a ``KalmanState``, assembled from its blocks."""
+    cov = np.zeros((8, 8))
+    for i in range(4):
+        cov[i, i] = state.var_p[i]
+        cov[i, 4 + i] = cov[4 + i, i] = state.cov_pv[i]
+        cov[4 + i, 4 + i] = state.var_v[i]
+    return cov
+
+
 def kf8_init(box, ps=1.0 / 20):
     """(mean, covariance) of a filter started at a corner box, zero velocity."""
     z = _cxcyah(box)

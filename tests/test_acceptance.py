@@ -16,6 +16,7 @@ import numpy as np
 from mrtrack.association import match
 from mrtrack.cli import EXIT_OK, main, sweep_reports
 from mrtrack.core import (
+    DEFAULT_EPSILON,
     BBox,
     Detection,
     RescoreConfig,
@@ -87,7 +88,7 @@ class TestCostModel:
 class TestRescoreAlgebra:
     def test_property_suite(self):
         cfg = RescoreConfig()
-        eps = cfg.epsilon
+        eps = DEFAULT_EPSILON
         rng = np.random.default_rng(42)
         start = time.perf_counter()
 

@@ -1,10 +1,14 @@
+import copy
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 import mrtrack
 from mrtrack import cli, evaluation
 from mrtrack.cli import EXIT_OK, EXIT_PARSE, EXIT_SUITE, EXIT_VALIDATION, build_parser, main
-from mrtrack.core import BBox, Detection, FramePacket
+from mrtrack.core import BBox, Detection, FramePacket, RescoreConfig, TrackerConfig
 from mrtrack.fileio import (
     load_track_file,
     save_detection_file,
@@ -23,7 +27,8 @@ from mrtrack.fileio import (
     save_scenario,
 )
 from mrtrack.evaluation import GroundTruthFrame
-from mrtrack.synth import profile_scenario
+from mrtrack.pipeline import ResolutionSchedule
+from mrtrack.synth import DegradationLevel, SynthScenario, profile_scenario
 
 FULL = (320, 320)
 
@@ -420,6 +425,25 @@ class TestStreamContract:
         low = _cv_packets(res=(192, 192))[::2]
         assert self._sweep(tmp_path, {"s": full}, {"s": low}) == EXIT_VALIDATION
 
+    def test_track_rejects_a_frame_at_another_native_resolution(self, tmp_path, capsys):
+        packets = _cv_packets(n=5)
+        packets[3] = replace(packets[3], native_resolution=(640, 640))
+        dets = tmp_path / "dets.jsonl"
+        save_detection_file(dets, {"s": packets})
+        rc = main(["track", str(dets), "--preset", "nanodet", "--P", "0",
+                   "--out", str(tmp_path / "t.jsonl")])
+        assert rc == EXIT_VALIDATION
+        assert "sequence 's' frame 3: native resolution (640, 640)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("retag", [{3}, set(range(15))], ids=["one-frame", "whole-file"])
+    def test_sweep_rejects_low_frames_at_another_native_resolution(
+        self, tmp_path, capsys, retag
+    ):
+        low = [replace(p, native_resolution=(640, 640)) if p.frame_index in retag else p
+               for p in _cv_packets(res=(192, 192))]
+        assert self._sweep(tmp_path, {"s": _cv_packets()}, {"s": low}) == EXIT_VALIDATION
+        assert f"sequence 's' frame {min(retag)}: native" in capsys.readouterr().err
+
     def test_sweep_rescales_each_loaded_packet_once(self, tmp_path, monkeypatch):
         rescale, calls = cli.rescale_packet_to_native, []
 
@@ -523,6 +547,11 @@ def _scenario_doc(**changes) -> dict:
     return {**doc, **changes}
 
 
+def _level(**changes) -> list:
+    """The default two degradation levels, the low one changed."""
+    return [{"resolution": [320, 320]}, {"resolution": [192, 192], **changes}]
+
+
 def _bad_input_cases():
     """(id, argv template over {tmp}, {dets} and {gt}, config or scenario file
     contents or None, exit code)."""
@@ -560,6 +589,12 @@ def _bad_input_cases():
         ("config-rescore-int", at_p0,
          {"preset": "nanodet", "rescore": 0}, EXIT_VALIDATION),
         ("config-not-utf8", with_config, b"P: \xff\n", EXIT_PARSE),
+        ("config-int-over-digit-limit", with_config, b"P: 1" + b"0" * 5000 + b"\n",
+         EXIT_PARSE),
+        ("config-nested-past-recursion-limit", with_config,
+         b"preset: " + b"[" * 5000 + b"]" * 5000 + b"\n", EXIT_PARSE),
+        ("config-a-number", with_config, b"0\n", EXIT_PARSE),
+        ("scenario-a-number", synth, b"0\n", EXIT_PARSE),
         ("scenario-not-utf8", synth, b"seed: \xff\n", EXIT_PARSE),
     ]
     return [pytest.param(argv, doc, code, id=name) for name, argv, doc, code in cases]
@@ -610,6 +645,14 @@ class TestScenarioChecks:
                      "exceeds the frame's smaller side 200", id="size-over-smaller-side"),
         pytest.param({"base_conf_range": [0.9, 0.7]}, [], "base_conf_range must be finite",
                      id="base-conf-reversed"),
+        # zero-size boxes, which track rejects as zero-height detections
+        pytest.param({"size_range": [0, 0]}, [], "size_range must not be (0, 0)",
+                     id="size-zero"),
+        pytest.param({"degradation": _level(conf_noise_std=math.nan)}, [],
+                     "noise std must be finite", id="conf-noise-nan"),
+        pytest.param({"degradation": [{"resolution": [320, 320],
+                                       "bbox_jitter_std": math.inf}]},
+                     [], "noise std must be finite", id="jitter-inf"),
         pytest.param({"degradation": [{"resolution": [320, 320]}]}, ["--P", "2"],
                      "needs at least two configured resolutions", id="P-with-one-level"),
     ])
@@ -622,6 +665,218 @@ class TestScenarioChecks:
         if not extra:
             assert f"error: {scenario}: invalid scenario: " in err
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def p5_corpus(tmp_path_factory):
+    """The interleaved P=5 detections and ground truth of a 4-object, 6-frame scenario."""
+    root = tmp_path_factory.mktemp("p5")
+    scenario = _write_yaml(root / "scenario.yaml", _scenario_doc())
+    assert _run(["synth", str(scenario), "--out", str(root), "--P", "5"])[0] == EXIT_OK
+    return root / "detections_P5.jsonl", root / "gt.jsonl"
+
+
+class TestYamlTypes:
+    """Each YAML value needs its field's exact type and each key must be known;
+    anything else exits 3 with one `error:` line naming the file."""
+
+    @pytest.mark.parametrize("doc, message", [
+        pytest.param({"schedule": {"full_res": [320]}}, "schedule.full_res [320]",
+                     id="full-res-short"),
+        pytest.param({"schedule": {"full_res": {"a": 1}}}, "schedule.full_res {'a': 1}",
+                     id="full-res-mapping"),
+        pytest.param({"rescore_config": {"history_len": 2.5}}, "rescore_config.history_len",
+                     id="history-len-float"),
+        pytest.param({"P": 5.9}, "bad P 5.9", id="P-float"),
+        pytest.param({"P": 5.0}, "bad P 5.0", id="P-integral-float"),
+        pytest.param({"schedule": {"full_res": [320.7, 320]}}, "schedule.full_res[0] 320.7",
+                     id="full-res-floats"),
+        pytest.param({"tracker": {"tau_init": 1.5}}, "tracker.tau_init 1.5",
+                     id="tau-init-float"),
+        pytest.param({"rescore_config": {"history_len": True}}, "history_len True",
+                     id="history-len-bool"),
+        pytest.param({"tracker": {"high_threshold": True}}, "high_threshold True",
+                     id="threshold-bool"),
+        pytest.param({"schedule": [["P", 2]]}, "schedule must be a mapping",
+                     id="schedule-pairs"),
+        pytest.param({"emit_coasetd": True}, "unknown key emit_coasetd", id="top-level-typo"),
+        pytest.param({"tracker": {"tau_iuo": 0.3}}, "unknown key tracker.tau_iuo",
+                     id="section-typo"),
+        pytest.param({"rescore_config": {"epsilon": 0.001}},
+                     "unknown key rescore_config.epsilon", id="epsilon-removed"),
+        pytest.param({"schedule": {"mac_full": math.inf}}, "need finite mac_full",
+                     id="mac-full-inf"),
+        pytest.param({"schedule": {"mac_low": math.nan}}, "need finite mac_full",
+                     id="mac-low-nan"),
+        pytest.param({"schedule": {"mac_full": 10**400}}, "mac_full 1000",
+                     id="mac-full-over-float-range"),
+    ])
+    def test_bad_config_value(self, tmp_path, p5_corpus, doc, message):
+        dets, _ = p5_corpus
+        config = _write_yaml(tmp_path / "cfg.yaml", {"preset": "nanodet", **doc})
+        rc, err = _run(["track", str(dets), "--config", str(config),
+                        "--out", str(tmp_path / "t.jsonl")])
+        assert rc == EXIT_VALIDATION, err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert f"error: {config}: bad config value: " in err
+        assert message in err
+
+    @pytest.mark.parametrize("changes, message", [
+        pytest.param({"native_resolution": [320]}, "native_resolution [320]",
+                     id="native-short"),
+        pytest.param({"degradation": [{"resolution": [320]}]},
+                     "degradation[0].resolution [320]", id="level-resolution-short"),
+        pytest.param({"speed_range": [1]}, "speed_range [1]", id="speed-short"),
+        pytest.param({"n_classes": 2.5}, "bad n_classes 2.5", id="n-classes-float"),
+        pytest.param({"seed": 7.9}, "bad seed 7.9", id="seed-float"),
+        pytest.param({"seed": 7.0}, "bad seed 7.0", id="seed-integral-float"),
+        pytest.param({"degradation": [{"resolution": {"a": 1}}]},
+                     "degradation[0].resolution {'a': 1}", id="level-resolution-mapping"),
+        pytest.param({"degradation": _level(drop_prob=True)}, "drop_prob True",
+                     id="drop-prob-bool"),
+        pytest.param({"n_clases": 3}, "unknown key n_clases", id="top-level-typo"),
+        pytest.param({"degradation": _level(drop_prb=0.3)},
+                     "unknown key degradation[1].drop_prb", id="level-typo"),
+    ])
+    def test_invalid_scenario(self, tmp_path, changes, message):
+        scenario = _write_yaml(tmp_path / "scenario.yaml", _scenario_doc(**changes))
+        out = tmp_path / "corpus"
+        rc, err = _run(["synth", str(scenario), "--out", str(out)])
+        assert rc == EXIT_VALIDATION, err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert f"error: {scenario}: invalid scenario: " in err
+        assert message in err
+        assert not out.exists()
+
+    def test_missing_required_field_is_a_parse_error(self, tmp_path):
+        doc = _scenario_doc(degradation=[{"drop_prob": 0.1}])
+        scenario = _write_yaml(tmp_path / "scenario.yaml", doc)
+        rc, err = _run(["synth", str(scenario), "--out", str(tmp_path / "corpus")])
+        assert rc == EXIT_PARSE
+        assert f"error: {scenario}: missing scenario field 'degradation[0].resolution'" in err
+
+
+# The keys of every config and scenario level, so that a key drawn for one
+# level is often one that belongs to another
+_YAML_KEYS = sorted(
+    {f.name for cls in (SynthScenario, DegradationLevel, TrackerConfig, RescoreConfig,
+                        ResolutionSchedule) for f in fields(cls)}
+    | {"preset", "P", "emit_coasted", "rescore", "tracker", "schedule", "rescore_config"}
+)
+# every count drawn is 5 or below, so a scenario synth accepts generates in milliseconds
+_YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 5) | st.text("x5.", max_size=2)
+    | st.sampled_from([0.0, 0.25, 0.9, 2.5, -1.0, 5.0, math.nan, math.inf]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_YAML_KEYS), inner, max_size=2),
+    max_leaves=8,
+)
+# values that fit some field, so that many edited documents still run
+_FITTING_VALUES = st.sampled_from(
+    [0, 1, 2, 5, 0.0, 0.3, 0.5, 0.9, True, False, [320, 320], [192, 192], [1.0, 3.0], [0, 0]]
+)
+
+
+@st.composite
+def _edited(draw, doc):
+    """``doc`` after up to three edits, each at a mapping anywhere in it: a key
+    (its own, another level's or a typo) set to any value or deleted, or a
+    mapping value rewritten as a list of [key, value] pairs."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        nodes, stack = [], [doc]
+        while stack:
+            node = stack.pop()
+            if type(node) is dict:
+                nodes.append(node)
+                stack.extend(node.values())
+            elif type(node) is list:
+                stack.extend(node)
+        if not nodes:
+            break
+        node = draw(st.sampled_from(nodes))
+        own = sorted(node, key=str) or _YAML_KEYS
+        key = draw(st.sampled_from(own) | st.sampled_from(_YAML_KEYS)
+                   | st.sampled_from([f"{k}s" for k in own]))
+        edit = draw(st.sampled_from(["set", "delete", "pairs"]))
+        if edit == "delete":
+            node.pop(key, None)
+        elif edit == "pairs" and type(node.get(key)) is dict:
+            node[key] = [[k, v] for k, v in node[key].items()]
+        else:
+            node[key] = draw(_FITTING_VALUES | _YAML_VALUES)
+    return doc
+
+
+def _assert_documented_exit(rc, err):
+    assert rc in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION), err
+    assert "Traceback" not in err
+    if rc != EXIT_OK:
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+class TestYamlFuzz:
+    """Config and scenario documents with values of every YAML shape in every
+    slot: each run exits 0, 2 or 3, and every corpus synth writes is usable."""
+
+    # every key set, so that edits land on each of them
+    _CONFIG = {"preset": "nanodet", "P": 2, "emit_coasted": True, "rescore": True,
+               "tracker": {"high_threshold": 0.5, "low_threshold": 0.3, "tau_iou": 0.3,
+                           "tau_init": 2, "tau_dead": 5},
+               "schedule": {"P": 2, "full_res": [320, 320], "low_res": [192, 192],
+                            "mac_full": 500.0, "mac_low": 167},
+               "rescore_config": {"history_len": 3}}
+    _LEVEL = {"drop_prob": 0.1, "class_flip_prob": 0.1, "conf_noise_std": 0.1,
+              "bbox_jitter_std": 0.5}
+    _SCENARIO = _scenario_doc(
+        frame_count=5, n_classes=3, speed_range=[1, 3.0], size_range=[28, 72],
+        base_conf_range=[0.7, 0.9], direction_change_prob=0.1,
+        degradation=[{"resolution": [320, 320], **_LEVEL}, {"resolution": [192, 192], **_LEVEL}])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_config(self, fuzz_files, data):
+        doc = data.draw(_edited(self._CONFIG))
+        with tempfile.TemporaryDirectory() as tmp:
+            config = _write_yaml(Path(tmp) / "cfg.yaml", doc)
+            rc, err = _run(["track", fuzz_files["dets"][2], "--config", str(config),
+                            "--out", str(Path(tmp) / "t.jsonl")])
+        _assert_documented_exit(rc, err)
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_scenario(self, data):
+        doc = data.draw(_edited(self._SCENARIO))
+        P = data.draw(st.sampled_from([[], ["--P", "1"]]))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            scenario = _write_yaml(root / "scenario.yaml", doc)
+            rc, err = _run(["synth", str(scenario), "--out", str(root / "corpus"), *P])
+            _assert_documented_exit(rc, err)
+            if rc == EXIT_OK:
+                self._check_corpus(root / "corpus")
+            else:
+                # the scenario is checked whole, before anything is written
+                assert not (root / "corpus").exists()
+                one_level = "needs at least two configured resolutions" in err
+                assert err.startswith(f"error: {scenario}: ") or one_level, err
+
+    @staticmethod
+    def _check_corpus(corpus):
+        """Each detection file scores against the ground truth, and each
+        per-resolution file tracks at P=0 with that resolution as the schedule's."""
+        gt = str(corpus / "gt.jsonl")
+        for dets in sorted(corpus.glob("detections_*.jsonl")):
+            assert _run(["eval", str(dets), gt]) == (EXIT_OK, "")
+            if dets.stem[len("detections_"):].startswith("P"):
+                continue
+            res = [int(v) for v in dets.stem[len("detections_"):].split("x")]
+            config = _write_yaml(corpus / "cfg.yaml", {
+                "preset": "nanodet", "P": 0, "schedule": {"full_res": res, "low_res": res}})
+            tracks = corpus / "tracks.jsonl"
+            assert _run(["track", str(dets), "--config", str(config),
+                         "--out", str(tracks)]) == (EXIT_OK, "")
+            assert _run(["eval", str(tracks), gt, "--threshold", "fixed:0.0"]) == (EXIT_OK, "")
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ from mrtrack.core import (
     BBox,
     Detection,
     FramePacket,
-    RescoreConfig,
     TrackerConfig,
     clamp_conf,
     iou,
@@ -112,12 +111,6 @@ class TestConfigs:
     def test_tracker_config_ordering(self):
         with pytest.raises(ValueError):
             TrackerConfig(high_threshold=0.3, low_threshold=0.5)
-
-    def test_rescore_epsilon_range(self):
-        with pytest.raises(ValueError):
-            RescoreConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            RescoreConfig(epsilon=1.0)
 
     def test_clamp_conf(self):
         assert clamp_conf(1.0) == 1.0 - 1e-4

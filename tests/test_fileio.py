@@ -5,8 +5,11 @@ import math
 import re
 import reprlib
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +30,7 @@ from mrtrack.fileio import (
     save_scenario,
     save_track_file,
 )
-from mrtrack.synth import profile_scenario
+from mrtrack.synth import DegradationLevel, SynthScenario, profile_scenario
 from mrtrack.tracks import TrackOutput
 
 
@@ -330,12 +333,40 @@ class TestRunConfig:
             load_run_config(path)
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadmeExamples:
+    """The README's config and scenario YAML load as documented."""
+
+    def test_config_block(self, tmp_path):
+        (block,) = re.findall(r"```yaml\n(.*?)```", _README.read_text(), re.S)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(block)
+        cfg = load_run_config(path)
+        assert (cfg.schedule.P, cfg.emit_coasted, cfg.rescore_enabled) == (2, True, True)
+        assert (cfg.tracker.high_threshold, cfg.schedule.mac_full) == (0.5, 500.0)
+
+    def test_scenario_heredoc(self, tmp_path):
+        (block,) = re.findall(r"<<'EOF'\n(.*?)EOF", _README.read_text(), re.S)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(block)
+        sc = load_scenario(path)
+        assert (sc.seed, sc.n_objects, sc.frame_count) == (7, 4, 240)
+        assert [lv.resolution for lv in sc.degradation] == [(320, 320), (192, 192)]
+
+
 class TestScenarioFile:
     def test_round_trip(self, tmp_path):
         sc = profile_scenario("cnn-like", seed=3)
         path = tmp_path / "scenario.yaml"
         save_scenario(path, sc)
         assert load_scenario(path) == sc
+        # every field in declaration order, tuples as lists
+        doc = yaml.safe_load(path.read_text())
+        assert list(doc) == [f.name for f in fields(SynthScenario)]
+        assert doc["native_resolution"] == [320, 320]
+        assert list(doc["degradation"][1]) == [f.name for f in fields(DegradationLevel)]
 
     def test_seed_override(self, tmp_path):
         sc = profile_scenario("cnn-like", seed=3)

@@ -140,7 +140,7 @@ class TestStepLifecycle:
             assert len(state.active_tracks) == 1
         state, _ = step(state, _packet(6, []), TCFG, RCFG)  # 5th miss
         assert state.active_tracks == []
-        assert state.removed_count == 1
+        assert state.next_track_id - len(state.active_tracks) == 1
 
     def test_tentative_track_dies_on_single_miss(self):
         state = TrackerState()
@@ -187,7 +187,7 @@ class TestStepLifecycle:
         coasted = [emitted[t] for t in range(4, 4 + TCFG.tau_dead)]
         # emitted for each of the first tau_dead - 1 misses, removed at the last
         assert [len(outs) for outs in coasted] == [1] * (TCFG.tau_dead - 1) + [0]
-        assert state.active_tracks == [] and state.removed_count == 1
+        assert state.active_tracks == [] and state.next_track_id - len(state.active_tracks) == 1
         heights = [outs[0].bbox.height for outs in coasted[:-1]]
         assert heights[0] > 0.0 and heights[-2:] == [0.0, 0.0]
         for outs in coasted[:-1]:

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrtrack.core import BBox, Detection, RescoreConfig
+from mrtrack.core import DEFAULT_EPSILON, BBox, Detection, RescoreConfig
 from mrtrack.rescore import rescore_update
 from mrtrack.tracks import Track
 
 from oracles import rescore_oracle_step
 
 CFG = RescoreConfig()
-EPS = CFG.epsilon
+EPS = DEFAULT_EPSILON
 BOX = BBox(0, 0, 10, 10)
 
 confs = st.floats(min_value=0.0, max_value=1.0 - EPS, allow_nan=False)
