@@ -23,8 +23,8 @@ _EXPORTS = {
         "TrackerConfig", "clamp_conf", "iou", "rescale_bbox", "rescale_packet_to_native",
     ),
     "evaluation": (
-        "GroundTruthFrame", "MetricsReport", "average_precision", "evaluate",
-        "f1_max_threshold",
+        "GroundTruthFrame", "MetricsReport", "Ranked", "average_precision", "evaluate",
+        "f1_max_threshold", "rank_corpus",
     ),
     "kalman": ("KalmanState", "kf_init", "kf_predict", "kf_update"),
     "linattn": (

@@ -9,7 +9,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import FramePacket, rescale_packet_to_native
-from .evaluation import GroundTruthFrame, MetricsReport, evaluate, f1_max_threshold
+from .evaluation import (
+    GroundTruthFrame, MetricsReport, Ranked, evaluate, f1_max_threshold, rank_corpus,
+)
 from .fileio import (
     FileFormatError,
     PRESET_NAMES,
@@ -199,20 +201,14 @@ def cmd_track(args) -> int:
     return EXIT_OK
 
 
-def _threshold(
-    spec: tuple[str, float | None], dets: dict, gts: dict, grid_step: float, gt_path: str
-) -> float:
-    """The ``fixed:`` value, or the F1-max threshold of ``dets`` (undefined
-    without ground-truth objects)."""
-    kind, value = spec
-    if kind == "fixed":
-        return value
-    if not any(gts.values()):
+def _f1max_threshold(ranked: Ranked, grid_step: float, gt_path: str) -> float:
+    """The F1-max threshold of a ranked corpus (undefined without ground-truth objects)."""
+    if not ranked.n_gt:
         raise ValidationError(
             f"{gt_path}: no ground-truth objects, so the F1-max threshold is "
             "undefined; pass --threshold fixed:<value>"
         )
-    return f1_max_threshold(dets, gts, grid_step)
+    return f1_max_threshold(ranked, grid_step)
 
 
 def cmd_eval(args) -> int:
@@ -224,9 +220,11 @@ def cmd_eval(args) -> int:
     gt_data = load_groundtruth_file(args.groundtruth)
     # every loaded sequence has at least one frame, so it has a key in dets
     _check_sequences_covered({seq for seq, _ in dets}, gt_data.keys())
-    gts = _gt_for_eval(gt_data)
-    thr = _threshold(args.threshold, dets, gts, args.grid_step, args.groundtruth)
-    report = evaluate(dets, gts, thr)
+    ranked = rank_corpus(dets, _gt_for_eval(gt_data))
+    kind, thr = args.threshold
+    if kind == "f1max":
+        thr = _f1max_threshold(ranked, args.grid_step, args.groundtruth)
+    report = evaluate(ranked, thr)
     print(render_report(report))
     if args.out:
         import json
@@ -267,16 +265,18 @@ def sweep_reports(
     _check_streams(full, low)
     _check_sequences_covered(full.keys(), gt_sequences.keys())
     gts = _gt_for_eval(gt_sequences)
-    thr = _threshold(threshold, _dets_for_eval(full), gts, grid_step, gt_path)
+    kind, thr = threshold
+    if kind == "f1max":
+        thr = _f1max_threshold(rank_corpus(_dets_for_eval(full), gts), grid_step, gt_path)
 
     reports = []
     for P in P_values:
         streams = {seq: interleave(full[seq], low[seq], P) for seq in sorted(full)}
-        baseline = evaluate(_dets_for_eval(streams), gts, thr)
+        baseline = evaluate(rank_corpus(_dets_for_eval(streams), gts), thr)
         tracked, _, _ = _track_sequences(
             streams, replace(cfg, schedule=replace(cfg.schedule, P=P))
         )
-        reports.append((baseline, evaluate(_tracks_for_eval(tracked), gts, 0.0)))
+        reports.append((baseline, evaluate(rank_corpus(_tracks_for_eval(tracked), gts))))
     return thr, reports
 
 

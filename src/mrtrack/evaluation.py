@@ -5,13 +5,18 @@ positive iff it shares the ground-truth class and overlaps an unclaimed
 ground-truth box with IoU strictly greater than the gate (0.5). Average
 precision uses all-point interpolation (area under the precision
 envelope). Per-class metrics are averaged unweighted over every class
-that appears in the ground truth or in the detections.
+that appears in the ground truth or among the detections kept at the
+threshold.
 
-The evaluation threshold filters the detection set before any metric is
-computed; ``f1_max_threshold`` sweeps a confidence grid and returns the
-threshold maximizing mean F1 (ties toward the higher threshold). The sweep
-matches each frame once and scans the grid over per-class prefix counts
-of that one ranking.
+``rank_corpus`` matches every frame once, with all its detections, and
+every score reads from its table. Greedy matching in descending confidence
+makes a detection's TP flag depend only on the detections ranked above it,
+so a confidence threshold keeps a prefix of each frame's ranking and of
+each class's, with the flags it would have had if the detections below
+the threshold had been dropped before matching. ``evaluate`` scores the
+prefix at one threshold; ``f1_max_threshold`` scans a confidence grid over
+per-class prefix counts and returns the threshold maximizing mean F1 (ties
+toward the higher threshold).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import BBox, DEFAULT_EPSILON, Detection, iou
 
@@ -103,17 +108,24 @@ def average_precision(flags: Sequence[bool], n_gt: int) -> float:
     return ap
 
 
-def _ranked(
+class Ranked(NamedTuple):
+    """A corpus matched once, at threshold 0: every score reads from it.
+
+    ``records`` maps each class to its (conf, TP flag) records in descending
+    confidence, then frame key and rank in its frame, the order they are
+    appended in, which the stable sort keeps among equal confidences.
+    ``n_gt`` counts each class's ground-truth objects.
+    """
+
+    records: dict[int, list[tuple[float, bool]]]
+    n_gt: dict[int, int]
+
+
+def rank_corpus(
     dets_by_frame: Mapping[FrameKey, Sequence[Detection]],
     gts_by_frame: Mapping[FrameKey, Sequence[GtObject]],
-    threshold: float,
-) -> tuple[dict[int, list[tuple[float, bool]]], dict[int, int]]:
-    """Match every frame at ``threshold``: per-class ranked records, GT counts.
-
-    A record is (conf, TP flag); each class's records are sorted by
-    descending confidence, then frame key and rank in its frame, the order
-    they are appended in, which the stable sort keeps among equal confidences.
-    """
+) -> Ranked:
+    """Match every frame once, with all its detections, into a ``Ranked``."""
     records: dict[int, list[tuple[float, bool]]] = {}
     n_gt: dict[int, int] = {}
     keys = sorted(set(dets_by_frame.keys()) | set(gts_by_frame.keys()))
@@ -122,16 +134,13 @@ def _ranked(
         for _, gcls in gts:
             n_gt[gcls] = n_gt.get(gcls, 0) + 1
         # stable: equal confidences keep input order
-        dets = sorted(
-            (d for d in dets_by_frame.get(key, ()) if d.conf >= threshold),
-            key=lambda d: -d.conf,
-        )
+        dets = sorted(dets_by_frame.get(key, ()), key=lambda d: -d.conf)
         flags = match_frame_flags(dets, gts)
         for d, f in zip(dets, flags):
             records.setdefault(d.class_id, []).append((d.conf, f))
     for recs in records.values():
         recs.sort(key=lambda r: -r[0])
-    return records, n_gt
+    return Ranked(records, n_gt)
 
 
 def _class_prf(tp: int, fp: int, n_gt: int) -> tuple[float, float, float]:
@@ -147,31 +156,29 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def evaluate(
-    dets_by_frame: Mapping[FrameKey, Sequence[Detection]],
-    gts_by_frame: Mapping[FrameKey, Sequence[GtObject]],
-    threshold: float = 0.0,
-) -> MetricsReport:
-    """Score a detection corpus against ground truth at a fixed threshold.
+def evaluate(ranked: Ranked, threshold: float = 0.0) -> MetricsReport:
+    """Score a ranked corpus at a fixed confidence threshold.
 
-    Detections with confidence below ``threshold`` are discarded first.
-    AP pools each class's ranked detections over all frames and sequences.
+    Each class keeps its records with confidence >= ``threshold``, a prefix
+    of its ranking, and is scored when it has ground truth or a kept record.
+    AP pools each class's kept records over all frames and sequences.
     """
-    records, n_gt = _ranked(dets_by_frame, gts_by_frame, threshold)
+    records, n_gt = ranked
     per_class: dict[int, ClassMetrics] = {}
     for cls in sorted(set(records) | set(n_gt)):
-        flags = [f for _, f in records.get(cls, [])]
+        recs = records.get(cls, [])
+        ((kept, tp),) = grid_counts(recs, [threshold])
         gt_count = n_gt.get(cls, 0)
-        tp = sum(flags)
-        fp = len(flags) - tp
-        precision, recall, f1 = _class_prf(tp, fp, gt_count)
+        if not (kept or gt_count):
+            continue
+        precision, recall, f1 = _class_prf(tp, kept - tp, gt_count)
         per_class[cls] = ClassMetrics(
-            ap=average_precision(flags, gt_count),
+            ap=average_precision([f for _, f in recs[:kept]], gt_count),
             precision=precision,
             recall=recall,
             f1=f1,
             tp=tp,
-            fp=fp,
+            fp=kept - tp,
             fn=gt_count - tp,
         )
 
@@ -202,27 +209,20 @@ def grid_counts(
     ]
 
 
-def f1_max_threshold(
-    dets_by_frame: Mapping[FrameKey, Sequence[Detection]],
-    gts_by_frame: Mapping[FrameKey, Sequence[GtObject]],
-    grid_step: float = 0.01,
-) -> float:
+def f1_max_threshold(ranked: Ranked, grid_step: float = 0.01) -> float:
     """Confidence threshold maximizing mean F1 over a regular grid.
 
     The grid is {0, step, 2*step, ...} below 1 - epsilon, plus 1 - epsilon
     itself; ties are broken toward the higher threshold. ``evaluate`` at the
     returned threshold gives that mean F1.
 
-    Every frame is matched once, at threshold 0. Greedy matching in
-    descending confidence makes a detection's TP flag depend only on the
-    detections ranked above it, and a threshold only cuts a suffix of each
-    frame's ranking, so a class's kept and TP counts at any threshold are
-    prefix counts of its ranked records.
+    A class's kept and TP counts at each grid point are prefix counts of
+    its ranked records, as in ``evaluate``.
     """
     if not 0.0 < grid_step <= 0.5:
         raise ValueError(f"grid_step out of (0, 0.5]: {grid_step}")
-    total_gt = sum(len(v) for v in gts_by_frame.values())
-    if total_gt == 0:
+    records, n_gt = ranked
+    if not n_gt:
         raise ValueError("empty ground truth: F1 sweep undefined")
 
     top = 1.0 - DEFAULT_EPSILON
@@ -235,7 +235,6 @@ def f1_max_threshold(
         k += 1
     grid.append(top)
 
-    records, n_gt = _ranked(dets_by_frame, gts_by_frame, 0.0)
     counts = {cls: grid_counts(recs, grid) for cls, recs in records.items()}
 
     classes = sorted(set(records) | set(n_gt))

@@ -14,7 +14,7 @@ a preset.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import (
     Callable, Mapping, NamedTuple, Sequence, get_args, get_origin, get_type_hints,
@@ -84,13 +84,26 @@ def _resolution(value, what: str) -> Resolution:
     return (value[0], value[1])
 
 
+# The largest coordinate magnitude a box may have, in pixels. Below it, box
+# areas and unions, and the squared heights of the motion filter, stay far
+# below the float maximum (~1.8e308), so IoU and Kalman arithmetic are finite.
+MAX_COORDINATE = 1e100
+
+
+def _out_of_bounds(box: BBox) -> bool:
+    return max(map(abs, box.as_tuple())) > MAX_COORDINATE
+
+
 def _bbox(value) -> BBox:
     try:
         if type(value) is not list or len(value) != 4:
             raise ValueError("need 4 coordinates")
         if not _NUMBERS.issuperset(map(type, value)):
             raise ValueError("coordinates must be numbers")
-        return BBox(*map(float, value))
+        box = BBox(*map(float, value))
+        if _out_of_bounds(box):
+            raise ValueError(f"a coordinate exceeds {MAX_COORDINATE:g}")
+        return box
     except (ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad bbox {value!r}: {exc}") from None
 
@@ -195,7 +208,7 @@ def load_detection_file(path: str | Path) -> dict[str, list[FramePacket]]:
     Confidences are clamped to [0, 1 - epsilon]. A box is a ValidationError
     if it has zero height, in its own or in native coordinates, because the
     motion filter needs a positive height, or if rescaling it to native
-    resolution overflows.
+    resolution overflows or takes a coordinate over ``MAX_COORDINATE``.
     """
 
     def entry(e: dict, header: tuple[Resolution, Resolution]) -> Detection:
@@ -207,6 +220,11 @@ def load_detection_file(path: str | Path) -> dict[str, list[FramePacket]]:
             raise ValidationError(
                 f"box {bbox.as_tuple()} does not rescale to native resolution: {exc}"
             ) from None
+        if _out_of_bounds(native):
+            raise ValidationError(
+                f"box {bbox.as_tuple()} at native resolution has a coordinate "
+                f"over {MAX_COORDINATE:g}"
+            )
         if native.height <= 0.0:
             raise ValidationError(
                 f"zero-height box {bbox.as_tuple()} at native resolution: the "
@@ -403,14 +421,12 @@ def _parse(tp, value, what: str):
         raise ValueError(f"bad {what} {value!r}: out of float range") from None
 
 
-def _override(obj, mapping, what: str):
-    """``obj`` with the fields a YAML mapping sets."""
-    return replace(obj, **_fields(type(obj), mapping, what))
-
-
-# a config file's top-level keys: the preset, its overrides and two toggles
-_CONFIG_KEYS = ("preset", "P", "emit_coasted", "rescore", "tracker", "schedule",
-                "rescore_config")
+# a config file's sections, each a partial override of a preset's dataclass,
+# and its top-level values; with "preset", these are all its keys
+_SECTIONS = {"tracker": TrackerConfig, "schedule": ResolutionSchedule,
+             "rescore_config": RescoreConfig}
+_TOGGLES = {"P": int, "emit_coasted": bool, "rescore": bool}
+_CONFIG_KEYS = ("preset", *_TOGGLES, *_SECTIONS)
 
 
 def load_run_config(
@@ -422,33 +438,43 @@ def load_run_config(
 ) -> RunConfig:
     """Resolve a run configuration: preset defaults, then file, then flags.
 
-    The file's ``schedule`` section applies before its top-level ``P``.
-    Every value needs its field's YAML type, and every key must be known.
+    Every key of the file is parsed by its field's YAML type, and must be
+    known, before a flag that is not None replaces its value. The file's
+    ``schedule`` section applies before its top-level ``P``.
     """
     doc = {} if config_path is None else _read_mapping(config_path, "config")
-    flags = dict(preset=preset, P=P, emit_coasted=emit_coasted, rescore=rescore_enabled)
-    doc.update((k, v) for k, v in flags.items() if v is not None)
-    if doc.get("preset") is None:
-        raise ValidationError(
-            "no preset given and no 'preset' key in the config file; "
-            f"available presets: {', '.join(PRESET_NAMES)}"
-        )
-    base = preset_config(str(doc["preset"]))
-
+    where = "" if config_path is None else f"{config_path}: "
     try:
         _check_keys(doc, _CONFIG_KEYS, "")
-        schedule = _override(base.schedule, doc.get("schedule", {}), "schedule")
-        if "P" in doc:
-            schedule = _override(schedule, {"P": doc["P"]}, "")
+        file_preset = doc.get("preset")
+        if "preset" in doc and not (type(file_preset) is str and file_preset in _PRESET_TABLE):
+            raise ValueError(
+                f"bad preset {file_preset!r}: need one of {', '.join(PRESET_NAMES)}"
+            )
+        sections = {k: _fields(cls, doc.get(k, {}), k) for k, cls in _SECTIONS.items()}
+        toggles = {k: _parse(tp, doc[k], k) for k, tp in _TOGGLES.items() if k in doc}
+
+        flags = dict(P=P, emit_coasted=emit_coasted, rescore=rescore_enabled)
+        toggles.update((k, v) for k, v in flags.items() if v is not None)
+        name = file_preset if preset is None else preset
+        if name is None:
+            raise ValidationError(
+                f"{where}no preset given and no 'preset' key in the config file; "
+                f"available presets: {', '.join(PRESET_NAMES)}"
+            )
+        base = preset_config(name)
+        schedule = replace(base.schedule, **sections["schedule"])
+        if "P" in toggles:
+            schedule = replace(schedule, P=toggles["P"])
         return RunConfig(
-            tracker=_override(base.tracker, doc.get("tracker", {}), "tracker"),
-            rescore=_override(base.rescore, doc.get("rescore_config", {}), "rescore_config"),
+            tracker=replace(base.tracker, **sections["tracker"]),
+            rescore=replace(base.rescore, **sections["rescore_config"]),
             schedule=schedule,
-            rescore_enabled=_parse(bool, doc.get("rescore", True), "rescore"),
-            emit_coasted=_parse(bool, doc.get("emit_coasted", False), "emit_coasted"),
+            rescore_enabled=toggles.get("rescore", True),
+            emit_coasted=toggles.get("emit_coasted", False),
         )
     except ValueError as exc:
-        raise ValidationError(f"{config_path}: bad config value: {exc}") from exc
+        raise ValidationError(f"{where}bad config value: {exc}") from exc
 
 
 def load_scenario(path: str | Path, **overrides) -> SynthScenario:
@@ -485,18 +511,7 @@ def report_to_dict(report: MetricsReport) -> dict:
         "mean_precision": report.mean_precision,
         "mean_recall": report.mean_recall,
         "mean_f1": report.mean_f1,
-        "per_class": {
-            str(cls): {
-                "ap": m.ap,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "tp": m.tp,
-                "fp": m.fp,
-                "fn": m.fn,
-            }
-            for cls, m in sorted(report.per_class.items())
-        },
+        "per_class": {str(cls): asdict(m) for cls, m in sorted(report.per_class.items())},
     }
 
 

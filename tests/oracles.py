@@ -9,6 +9,7 @@ from itertools import permutations
 import numpy as np
 
 from mrtrack.association import MatchResult
+from mrtrack.evaluation import ClassMetrics, MetricsReport, average_precision, match_frame_flags
 
 
 def brute_force_assignment_value(matrix, tau):
@@ -128,11 +129,51 @@ def grid_counts_oracle(records, grid):
     return list(zip(kept.tolist(), prefix_tp[kept].tolist()))
 
 
-def f1_sweep_oracle(dets_by_frame, gts_by_frame, grid, evaluate_fn):
-    """Exhaustive grid sweep; later (higher) thresholds win ties."""
+def evaluate_oracle(dets_by_frame, gts_by_frame, threshold):
+    """The report at ``threshold`` by filter-then-match: detections below the
+    threshold are dropped before any frame is ranked and matched, and a class
+    is scored when it has ground truth or a kept detection.
+
+    The reference for ``evaluation.evaluate``, which instead cuts a prefix
+    of each class's ranking in a table matched once at threshold 0.
+    """
+    records, n_gt = {}, {}
+    for key in sorted(set(dets_by_frame) | set(gts_by_frame)):
+        gts = list(gts_by_frame.get(key, ()))
+        for _, gcls in gts:
+            n_gt[gcls] = n_gt.get(gcls, 0) + 1
+        kept = [d for d in dets_by_frame.get(key, ()) if d.conf >= threshold]
+        dets = sorted(kept, key=lambda d: -d.conf)
+        for d, f in zip(dets, match_frame_flags(dets, gts)):
+            records.setdefault(d.class_id, []).append((d.conf, f))
+    per_class = {}
+    for cls in sorted(set(records) | set(n_gt)):
+        flags = [f for _, f in sorted(records.get(cls, []), key=lambda r: -r[0])]
+        gt_count = n_gt.get(cls, 0)
+        tp = sum(flags)
+        fp = len(flags) - tp
+        fn = gt_count - tp
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_class[cls] = ClassMetrics(
+            average_precision(flags, gt_count), precision, recall, f1, tp, fp, fn
+        )
+
+    def mean(name):
+        values = [getattr(m, name) for m in per_class.values()]
+        return sum(values) / len(values) if values else 0.0
+
+    return MetricsReport(per_class, mean("ap"), mean("precision"), mean("recall"),
+                         mean("f1"), threshold)
+
+
+def f1_sweep_oracle(dets_by_frame, gts_by_frame, grid):
+    """Exhaustive grid sweep of ``evaluate_oracle``; later (higher) thresholds
+    win ties."""
     best_thr, best_f1 = None, -1.0
     for thr in grid:
-        f1 = evaluate_fn(dets_by_frame, gts_by_frame, thr).mean_f1
+        f1 = evaluate_oracle(dets_by_frame, gts_by_frame, thr).mean_f1
         if f1 >= best_f1:
             best_thr, best_f1 = thr, f1
     return best_thr, best_f1

@@ -23,7 +23,7 @@ from mrtrack.core import (
     iou,
     rescale_packet_to_native,
 )
-from mrtrack.evaluation import average_precision, evaluate, f1_max_threshold
+from mrtrack.evaluation import average_precision, evaluate, f1_max_threshold, rank_corpus
 from mrtrack.fileio import preset_config, save_scenario
 from mrtrack.kalman import kf_init, kf_predict, kf_update, state_bbox
 from mrtrack.linattn import (
@@ -365,10 +365,11 @@ class TestEvaluationCorrectness:
                 )
             dets[("p", t)] = frame
             gts[("p", t)] = objs
-        thr = f1_max_threshold(dets, gts, grid_step=0.01)
-        report = evaluate(dets, gts, thr)
+        ranked = rank_corpus(dets, gts)
+        thr = f1_max_threshold(ranked, grid_step=0.01)
+        report = evaluate(ranked, thr)
         grid = [round(k * 0.01, 12) for k in range(100)] + [1 - 1e-4]
-        want_thr, want_f1 = f1_sweep_oracle(dets, gts, grid, evaluate)
+        want_thr, want_f1 = f1_sweep_oracle(dets, gts, grid)
         sweep_ok = abs(thr - want_thr) <= 1e-12 and abs(report.mean_f1 - want_f1) <= 1e-12
         elapsed = time.perf_counter() - start
         _criterion(

@@ -208,7 +208,7 @@ class TestLazyPackage:
     """``mrtrack``'s public names resolve on access to their submodules' objects."""
 
     def test_each_name_is_the_submodule_object(self):
-        assert len(mrtrack.__all__) == 44
+        assert len(mrtrack.__all__) == 46
         for name in mrtrack.__all__:
             module = importlib.import_module(f"mrtrack.{mrtrack._SOURCES[name]}")
             value = getattr(mrtrack, name)
@@ -492,7 +492,8 @@ class TestArgumentChecks:
 
 
 class TestMatchingPasses:
-    """How often evaluation matches each frame: the F1-max scan once, each report once."""
+    """How often evaluation matches each frame: once per ranked table, which the
+    F1-max scan and the report at its threshold share."""
 
     @pytest.fixture
     def count_matches(self, monkeypatch):
@@ -519,10 +520,10 @@ class TestMatchingPasses:
         # tracked report per P
         assert len(count_matches) == 15 * (1 + 2 * len(P_values))
 
-    def test_eval_f1max_matches_each_frame_twice(self, corpus, count_matches):
+    def test_eval_f1max_matches_each_frame_once(self, corpus, count_matches):
         dets, gt = corpus
         assert main(["eval", str(dets), str(gt), "--threshold", "f1max"]) == EXIT_OK
-        assert len(count_matches) == 2 * 15  # the scan, then the report
+        assert len(count_matches) == 15
 
 
 def _run(argv) -> tuple[int, str]:
@@ -710,16 +711,47 @@ class TestYamlTypes:
                      id="mac-low-nan"),
         pytest.param({"schedule": {"mac_full": 10**400}}, "mac_full 1000",
                      id="mac-full-over-float-range"),
+        pytest.param({"preset": 5}, "bad preset 5: need one of effvit, nanodet, yolox",
+                     id="preset-int"),
+        pytest.param({"preset": True}, "bad preset True", id="preset-bool"),
     ])
     def test_bad_config_value(self, tmp_path, p5_corpus, doc, message):
+        self._assert_rejected(tmp_path, p5_corpus, doc, message, [])
+
+    @pytest.mark.parametrize("doc, message, flags", [
+        pytest.param({"P": "abc"}, "bad P 'abc'", ["--P", "5"], id="P-text"),
+        pytest.param({"emit_coasted": "maybe"}, "bad emit_coasted 'maybe'",
+                     ["--emit-coasted"], id="emit-coasted-text"),
+        pytest.param({"rescore": 7}, "bad rescore 7", ["--no-rescore"], id="rescore-int"),
+        pytest.param({"preset": "nosuch"}, "bad preset 'nosuch'", ["--preset", "nanodet"],
+                     id="preset-unknown"),
+    ])
+    def test_flag_replaces_only_a_checked_value(self, tmp_path, p5_corpus, doc, message,
+                                                flags):
+        self._assert_rejected(tmp_path, p5_corpus, doc, message, flags)
+
+    @staticmethod
+    def _assert_rejected(tmp_path, p5_corpus, doc, message, flags):
         dets, _ = p5_corpus
         config = _write_yaml(tmp_path / "cfg.yaml", {"preset": "nanodet", **doc})
         rc, err = _run(["track", str(dets), "--config", str(config),
-                        "--out", str(tmp_path / "t.jsonl")])
+                        "--out", str(tmp_path / "t.jsonl"), *flags])
         assert rc == EXIT_VALIDATION, err
         assert err.count("error:") == 1 and "Traceback" not in err
         assert f"error: {config}: bad config value: " in err
         assert message in err
+
+    def test_missing_preset_names_the_file(self, tmp_path, p5_corpus):
+        dets, _ = p5_corpus
+        config = _write_yaml(tmp_path / "cfg.yaml", {"P": 5})
+        out = ["--out", str(tmp_path / "t.jsonl")]
+        rc, err = _run(["track", str(dets), "--config", str(config), *out])
+        assert rc == EXIT_VALIDATION
+        assert err.startswith(f"error: {config}: no preset given and no 'preset' key")
+        # without a config file the message names none
+        rc, err = _run(["track", str(dets), *out])
+        assert rc == EXIT_VALIDATION
+        assert err.startswith("error: no preset given and no 'preset' key")
 
     @pytest.mark.parametrize("changes, message", [
         pytest.param({"native_resolution": [320]}, "native_resolution [320]",

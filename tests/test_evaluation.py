@@ -10,9 +10,12 @@ from mrtrack.evaluation import (
     evaluate,
     f1_max_threshold,
     match_frame_flags,
+    rank_corpus,
 )
 
-from oracles import average_precision_oracle, f1_sweep_oracle, grid_counts_oracle
+from oracles import (
+    average_precision_oracle, evaluate_oracle, f1_sweep_oracle, grid_counts_oracle,
+)
 
 
 def _det(x, y, size=10, cls=0, conf=0.9):
@@ -101,8 +104,8 @@ class TestAveragePrecision:
             key: [Detection(d.bbox, d.class_id, d.conf**2) for d in frame]
             for key, frame in dets.items()
         }
-        r1 = evaluate(dets, gts, 0.0)
-        r2 = evaluate(squashed, gts, 0.0)
+        r1 = evaluate(rank_corpus(dets, gts), 0.0)
+        r2 = evaluate(rank_corpus(squashed, gts), 0.0)
         assert r2.map == pytest.approx(r1.map, abs=1e-12)
         for cls in r1.per_class:
             assert r2.per_class[cls].ap == pytest.approx(
@@ -114,7 +117,7 @@ class TestEvaluate:
     def test_perfect_corpus(self):
         dets = {("a", 0): [_det(0, 0), _det(50, 50, cls=1)]}
         gts = {("a", 0): [_gt(0, 0), _gt(50, 50, cls=1)]}
-        report = evaluate(dets, gts, 0.0)
+        report = evaluate(rank_corpus(dets, gts), 0.0)
         assert report.map == pytest.approx(1.0)
         assert report.mean_f1 == pytest.approx(1.0)
         assert report.per_class[0].tp == 1
@@ -125,7 +128,7 @@ class TestEvaluate:
             ("a", 1): [_det(0, 0, conf=0.7)],
         }
         gts = {("a", 0): [_gt(0, 0)], ("a", 1): [_gt(0, 0), _gt(60, 60)]}
-        report = evaluate(dets, gts, 0.0)
+        report = evaluate(rank_corpus(dets, gts), 0.0)
         m = report.per_class[0]
         assert (m.tp, m.fp, m.fn) == (2, 1, 1)
         assert m.precision == pytest.approx(2 / 3)
@@ -135,7 +138,7 @@ class TestEvaluate:
     def test_hallucinated_class_penalized(self):
         dets = {("a", 0): [_det(0, 0), _det(60, 60, cls=5)]}
         gts = {("a", 0): [_gt(0, 0)]}
-        report = evaluate(dets, gts, 0.0)
+        report = evaluate(rank_corpus(dets, gts), 0.0)
         assert 5 in report.per_class
         assert report.per_class[5].precision == 0.0
         assert report.map == pytest.approx(0.5)
@@ -143,8 +146,8 @@ class TestEvaluate:
     def test_threshold_filters_detections(self):
         dets = {("a", 0): [_det(0, 0, conf=0.4)]}
         gts = {("a", 0): [_gt(0, 0)]}
-        assert evaluate(dets, gts, 0.5).mean_recall == 0.0
-        assert evaluate(dets, gts, 0.4).mean_recall == 1.0
+        assert evaluate(rank_corpus(dets, gts), 0.5).mean_recall == 0.0
+        assert evaluate(rank_corpus(dets, gts), 0.4).mean_recall == 1.0
 
     def test_raising_threshold_never_raises_recall(self):
         rng = np.random.default_rng(9)
@@ -165,7 +168,7 @@ class TestEvaluate:
             gts[("s", t)] = objs
         prev = None
         for thr in np.linspace(0, 0.9999, 30):
-            recall = evaluate(dets, gts, float(thr)).mean_recall
+            recall = evaluate(rank_corpus(dets, gts), float(thr)).mean_recall
             if prev is not None:
                 assert recall <= prev + 1e-12
             prev = recall
@@ -174,8 +177,8 @@ class TestEvaluate:
         base = {("a", 0): [_det(1, 1, conf=0.9)]}
         dup = {("a", 0): [_det(1, 1, conf=0.9), _det(1, 1, conf=0.8)]}
         gts = {("a", 0): [_gt(0, 0)]}
-        r1 = evaluate(base, gts, 0.0)
-        r2 = evaluate(dup, gts, 0.0)
+        r1 = evaluate(rank_corpus(base, gts), 0.0)
+        r2 = evaluate(rank_corpus(dup, gts), 0.0)
         assert r2.per_class[0].tp == r1.per_class[0].tp == 1
         assert r2.per_class[0].fp == r1.per_class[0].fp + 1
 
@@ -184,20 +187,20 @@ class TestF1MaxThreshold:
     def test_single_tp_returns_largest_harmless_grid_value(self):
         dets = {("a", 0): [_det(1, 1, conf=0.7)]}
         gts = {("a", 0): [_gt(0, 0)]}
-        thr = f1_max_threshold(dets, gts, grid_step=0.05)
+        thr = f1_max_threshold(rank_corpus(dets, gts), grid_step=0.05)
         assert thr == pytest.approx(0.7)
-        assert evaluate(dets, gts, thr).mean_f1 == pytest.approx(1.0)
+        assert evaluate(rank_corpus(dets, gts), thr).mean_f1 == pytest.approx(1.0)
 
     def test_all_fp_returns_top_of_grid(self):
         dets = {("a", 0): [_det(100, 100, conf=0.6)]}
         gts = {("a", 0): [_gt(0, 0)]}
-        thr = f1_max_threshold(dets, gts, grid_step=0.1)
+        thr = f1_max_threshold(rank_corpus(dets, gts), grid_step=0.1)
         assert thr == pytest.approx(1 - 1e-4)
-        assert evaluate(dets, gts, thr).mean_f1 == 0.0
+        assert evaluate(rank_corpus(dets, gts), thr).mean_f1 == 0.0
 
     def test_empty_ground_truth_is_an_error(self):
         with pytest.raises(ValueError):
-            f1_max_threshold({("a", 0): [_det(0, 0)]}, {("a", 0): []}, 0.1)
+            f1_max_threshold(rank_corpus({("a", 0): [_det(0, 0)]}, {("a", 0): []}), 0.1)
 
     def test_matches_brute_force_on_planted_corpus(self):
         # plant: TPs at high confidence, FPs concentrated below 0.55
@@ -217,11 +220,12 @@ class TestF1MaxThreshold:
                 )
             dets[("p", t)] = frame
             gts[("p", t)] = objs
-        thr = f1_max_threshold(dets, gts, grid_step=0.01)
+        ranked = rank_corpus(dets, gts)
+        thr = f1_max_threshold(ranked, grid_step=0.01)
         grid = [k * 0.01 for k in range(100)] + [1 - 1e-4]
-        want_thr, want_f1 = f1_sweep_oracle(dets, gts, grid, evaluate)
+        want_thr, want_f1 = f1_sweep_oracle(dets, gts, grid)
         assert thr == pytest.approx(want_thr, abs=1e-12)
-        assert evaluate(dets, gts, thr).mean_f1 == pytest.approx(want_f1, abs=1e-12)
+        assert evaluate(ranked, thr).mean_f1 == pytest.approx(want_f1, abs=1e-12)
         # the planted FP band ends at 0.55 and real TPs start at 0.6
         assert 0.55 < thr <= 0.61
 
@@ -254,6 +258,33 @@ _CORPORA = st.tuples(
 )
 
 
+@st.composite
+def _cut_cases(draw):
+    """A drawn corpus and a threshold, often one of its own confidences."""
+    dets, gts = draw(_CORPORA)
+    confs = sorted({d.conf for frame in dets.values() for d in frame})
+    return dets, gts, draw(st.sampled_from(confs + _TIED_CONFS) | st.floats(0.0, 1.0))
+
+
+class TestThresholdCut:
+    """A threshold on the ranked table scores what dropping the detections
+    below it before matching scores."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cut_cases())
+    # class 4 has no ground truth and one detection, below the threshold: unscored
+    @example(({("a", 0): [_det(0, 0, conf=0.5), _det(0, 30, cls=4, conf=0.3)]},
+              {("a", 0): [_gt(0, 0)]}, 0.5))
+    # the tied pair is kept whole at its own confidence; the first claims the box
+    @example(({("a", 0): [_det(2, 0, conf=0.7), _det(0, 0, conf=0.7),
+                          _det(0, 0, cls=1, conf=0.9)]},
+              {("a", 0): [_gt(0, 0)], ("b", 1): [_gt(0, 0, cls=1)]}, 0.7))
+    def test_equals_filter_then_match(self, case):
+        dets, gts, threshold = case
+        report = evaluate(rank_corpus(dets, gts), threshold)
+        assert report == evaluate_oracle(dets, gts, threshold)
+
+
 class TestSinglePassSweep:
     @settings(max_examples=200, deadline=None)
     @given(_CORPORA, st.sampled_from([0.01, 0.05, 0.1, 0.5]))
@@ -265,9 +296,10 @@ class TestSinglePassSweep:
     def test_equals_exhaustive_sweep(self, corpus, step):
         dets, gts = corpus
         assume(any(gts.values()))
-        thr = f1_max_threshold(dets, gts, step)
-        want = f1_sweep_oracle(dets, gts, _grid(step), evaluate)
-        assert (thr, evaluate(dets, gts, thr).mean_f1) == want
+        ranked = rank_corpus(dets, gts)
+        thr = f1_max_threshold(ranked, step)
+        want = f1_sweep_oracle(dets, gts, _grid(step))
+        assert (thr, evaluate(ranked, thr).mean_f1) == want
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -295,5 +327,5 @@ class TestSinglePassSweep:
         monkeypatch.setattr(evaluation, "match_frame_flags", counting)
         dets = {("m", t): [_det(t % 5, 0, conf=0.05 * t)] for t in range(15)}
         gts = {("m", t): [_gt(0, 0)] for t in range(3, 18)}
-        f1_max_threshold(dets, gts, grid_step=0.01)
+        f1_max_threshold(rank_corpus(dets, gts), grid_step=0.01)
         assert 0 < len(calls) <= len(set(dets) | set(gts))

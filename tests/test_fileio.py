@@ -210,8 +210,18 @@ _MUTATIONS = st.one_of(
 # (format, key path into the frame-0 record, value set there, exit code);
 # a zero-height box is rejected only in detection files, and so is a box
 # whose rescale to native resolution overflows: 10**400 / 320 is not a
-# float, and 5 * 10**309 / 320 is a float that overflows the box's x2
+# float, and 5 * 10**309 / 320 is a float that overflows the box's x2. A
+# coordinate over MAX_COORDINATE (1e100) is a parse error in every format,
+# and a detection box that exceeds it only at native resolution (9e99 * 320
+# / 192) is rejected like an overflowing rescale.
+_HUGE_BOX = [0, 0, 1e200, 1e200]
 _CASES = [
+    ("detection", ("detections", 0, "bbox"), _HUGE_BOX, 2),
+    ("groundtruth", ("objects", 0, "bbox"), _HUGE_BOX, 2),
+    ("track", ("tracks", 0, "bbox"), _HUGE_BOX, 2),
+    ("detection", (), dict(_VALID["detection"], inference_resolution=[192, 192],
+                           detections=[{"bbox": [0, 0, 9e99, 9e99], "class": 1, "conf": 0.9}]),
+     3),
     ("detection", ("detections", 0, "class"), -1, 2),
     ("detection", ("detections", 0, "class"), 1.7, 2),
     ("detection", ("detections",), 5, 2),
@@ -244,6 +254,22 @@ class TestMalformedRecords:
         rc, err, path = _eval_with(tmp_path, fmt, record)
         assert rc == expected, err
         _assert_clean_exit(rc, err, path)
+
+    def test_boxes_at_the_coordinate_bound_track_and_score(self, tmp_path, capsys):
+        # areas of 4e200 and filter variances of ~1e198 stay finite: one track,
+        # three true positives, and no overflow warning (which fails the suite)
+        box = [-1e100, -1e100, 1e100, 1e100]
+        dets, gt, tracks = (tmp_path / n for n in ("d.jsonl", "gt.jsonl", "t.jsonl"))
+        records = [dict(_VALID["detection"], frame=t,
+                        detections=[{"bbox": box, "class": 1, "conf": 0.9}]) for t in range(3)]
+        dets.write_text("".join(json.dumps(r) + "\n" for r in records))
+        gt.write_text("".join(json.dumps({"sequence_id": "s", "frame": t, "objects": [
+            {"bbox": box, "class": 1}]}) + "\n" for t in range(3)))
+        assert main(["track", str(dets), "--preset", "nanodet", "--P", "0",
+                     "--out", str(tracks)]) == 0
+        assert "tracks created: 1 " in capsys.readouterr().out
+        assert main(["eval", str(dets), str(gt), "--threshold", "fixed:0.0"]) == 0
+        assert "mAP 1.0000" in capsys.readouterr().out
 
     def test_undecodable_bytes_name_their_line(self, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"
