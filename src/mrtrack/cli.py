@@ -88,9 +88,18 @@ def _load_native(path: str) -> dict[str, list[FramePacket]]:
 
 
 def _check_streams(*files: dict[str, list[FramePacket]]) -> None:
-    """Each sequence runs contiguously from frame 0 at one native resolution,
-    the same in every file; the caller checks the files' sequences agree."""
-    for seq in sorted(files[0]):
+    """The files cover the same sequences with equal frame counts; each sequence
+    runs contiguously from frame 0 at one native resolution, the same in every file."""
+    seqs = sorted(files[0])
+    if any(sorted(f) != seqs for f in files):
+        raise ValidationError("full/low detection files cover different sequences")
+    for seq in seqs:
+        counts = [len(f[seq]) for f in files]
+        if min(counts) != max(counts):
+            raise ValidationError(
+                f"full/low detection files disagree: {' vs '.join(map(str, counts))} frames"
+            )
+    for seq in seqs:
         native = files[0][seq][0].native_resolution
         for packets in (f[seq] for f in files):
             for i, packet in enumerate(packets):
@@ -253,14 +262,6 @@ def sweep_reports(
     report pair per P: the interleaved detections at that threshold, and
     the outputs of ``cfg``'s tracker with its schedule at P, at threshold 0.
     """
-    if sorted(full) != sorted(low):
-        raise ValidationError("full/low detection files cover different sequences")
-    for seq in sorted(full):
-        if len(full[seq]) != len(low[seq]):
-            raise ValidationError(
-                f"full/low detection files disagree: {len(full[seq])} vs "
-                f"{len(low[seq])} frames"
-            )
     # equal lengths and both contiguous: the two files share every frame index
     _check_streams(full, low)
     _check_sequences_covered(full.keys(), gt_sequences.keys())

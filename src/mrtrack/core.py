@@ -19,6 +19,14 @@ Resolution = tuple[int, int]
 
 DEFAULT_EPSILON = 1e-4
 
+# The largest coordinate magnitude a loaded box may have, in pixels. Below it,
+# box areas and unions, and the filter's squared heights, stay finite.
+MAX_COORDINATE = 1e100
+# The smallest height the motion filter takes: its variances (h / 20)**2 stay
+# normal floats (at 1e-200 they underflow and the update divides 0 by 0), and
+# within MAX_COORDINATE the aspect w / h <= 2e200 stays finite.
+MIN_HEIGHT = 1.0 / MAX_COORDINATE
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -174,13 +182,19 @@ def rescale_packet_to_native(packet: FramePacket) -> FramePacket:
 def bbox_to_cxcyah(b: BBox) -> tuple[float, float, float, float]:
     """Corner box to (center x, center y, aspect ratio w/h, height).
 
-    Zero width is tolerated (aspect 0); zero height is an error because the
-    aspect ratio and the height-scaled noise model are undefined there.
+    The motion filter's one input check: a ValueError unless the height is
+    at least ``MIN_HEIGHT`` and all four are finite. Zero width gives aspect 0.
     """
     h = b.height
-    if h <= 0.0:
-        raise ValueError(f"degenerate box with zero height: {b.as_tuple()}")
-    return ((b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0, b.width / h, h)
+    if h < MIN_HEIGHT:
+        what = "zero-height box" if h == 0.0 else f"box of height {h!r}"
+        raise ValueError(
+            f"{what} {b.as_tuple()} is under the motion filter's {MIN_HEIGHT:g} px floor"
+        )
+    z = ((b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0, b.width / h, h)
+    if not all(map(math.isfinite, z)):
+        raise ValueError(f"box {b.as_tuple()}: non-finite center, aspect or height")
+    return z
 
 
 def cxcyah_to_bbox(cx: float, cy: float, a: float, h: float) -> BBox:

@@ -21,12 +21,14 @@ from typing import (
 )
 
 from .core import (
+    MAX_COORDINATE,
     BBox,
     Detection,
     FramePacket,
     RescoreConfig,
     Resolution,
     TrackerConfig,
+    bbox_to_cxcyah,
     clamp_conf,
     rescale_bbox,
 )
@@ -82,12 +84,6 @@ def _resolution(value, what: str) -> Resolution:
     if not pair or not all(type(v) is int and v > 0 for v in value):
         raise FileFormatError(f"bad {what} {value!r}: need two positive integers")
     return (value[0], value[1])
-
-
-# The largest coordinate magnitude a box may have, in pixels. Below it, box
-# areas and unions, and the squared heights of the motion filter, stay far
-# below the float maximum (~1.8e308), so IoU and Kalman arithmetic are finite.
-MAX_COORDINATE = 1e100
 
 
 def _out_of_bounds(box: BBox) -> bool:
@@ -206,9 +202,9 @@ def load_detection_file(path: str | Path) -> dict[str, list[FramePacket]]:
     """Parse a detection file into per-sequence frame packets.
 
     Confidences are clamped to [0, 1 - epsilon]. A box is a ValidationError
-    if it has zero height, in its own or in native coordinates, because the
-    motion filter needs a positive height, or if rescaling it to native
-    resolution overflows or takes a coordinate over ``MAX_COORDINATE``.
+    if rescaling it to native resolution overflows or takes a coordinate
+    over ``MAX_COORDINATE``, or if its native box is outside the motion
+    filter's domain (``core.bbox_to_cxcyah``: a height under ``MIN_HEIGHT``).
     """
 
     def entry(e: dict, header: tuple[Resolution, Resolution]) -> Detection:
@@ -225,11 +221,10 @@ def load_detection_file(path: str | Path) -> dict[str, list[FramePacket]]:
                 f"box {bbox.as_tuple()} at native resolution has a coordinate "
                 f"over {MAX_COORDINATE:g}"
             )
-        if native.height <= 0.0:
-            raise ValidationError(
-                f"zero-height box {bbox.as_tuple()} at native resolution: the "
-                "motion filter needs a positive height"
-            )
+        try:
+            bbox_to_cxcyah(native)
+        except ValueError as exc:
+            raise ValidationError(f"{exc} (at native resolution)") from None
         cls = _index(_field(e, "class"), "class")
         return Detection(bbox, cls, clamp_conf(_conf(_field(e, "conf"))))
 

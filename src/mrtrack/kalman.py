@@ -19,13 +19,9 @@ height estimate.
 
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass
 
 from .core import BBox, bbox_to_cxcyah, cxcyah_to_bbox
-
-logger = logging.getLogger(__name__)
 
 Quad = tuple[float, float, float, float]
 
@@ -64,8 +60,6 @@ def kf_init(measurement: BBox) -> KalmanState:
     estimate quickly.
     """
     cx, cy, a, h = bbox_to_cxcyah(measurement)
-    if a == 0.0:
-        logger.debug("zero-width measurement tolerated at init: %s", measurement)
     p = 2 * _POSITION_NOISE_SCALE * h
     v = 10.0 * p
     va = 10.0 * _ASPECT_INIT_STD
@@ -132,8 +126,6 @@ def kf_update(s: KalmanState, measurement: BBox) -> KalmanState:
     interleavings.
     """
     z = bbox_to_cxcyah(measurement)
-    if not all(map(math.isfinite, z)):
-        raise ValueError(f"non-finite measurement: {measurement}")
     r_std = _POSITION_NOISE_SCALE * s.mean[3]
     r_pos = r_std * r_std
     meas_var = (r_pos, r_pos, _ASPECT_MEAS_STD * _ASPECT_MEAS_STD, r_pos)

@@ -22,12 +22,12 @@ from typing import NamedTuple, Sequence
 
 from .association import iou_matrix, match
 from .core import (
-    DEFAULT_EPSILON,
     Detection,
     FramePacket,
     RescoreConfig,
     Resolution,
     TrackerConfig,
+    clamp_conf,
 )
 from .kalman import kf_predict, kf_update
 from .rescore import RescoreDecision, rescore_update
@@ -114,11 +114,11 @@ def _apply_match(
     if rescore_enabled:
         decision = rescore_update(track, det, rcfg)
     else:
-        # naive mode: the latest matched detection wins outright
+        # naive mode: the latest matched detection wins outright, as at a birth
         decision = RescoreDecision(
             det.class_id,
             det.conf,
-            min(det.conf, 1.0 - DEFAULT_EPSILON),
+            clamp_conf(det.conf),
             det.class_id != track.class_id,
             (det.conf,),
         )
@@ -139,8 +139,11 @@ def step(
 
     Expects frame indices contiguous from 0 and detection boxes already in
     native-resolution coordinates. Detections below ``low_threshold`` are
-    dropped; those at or above ``high_threshold`` associate first and may
-    start new tracks; the band in between can only extend existing tracks.
+    dropped; those at or above ``high_threshold`` are matched first, against
+    every active track, and may start new tracks; the band in between is
+    matched second, against the tracks the first pass left, and can only
+    extend them. Ids are handed out in creation order and ``active_tracks``
+    keeps that order, so each frame's outputs come in ascending id order.
 
     With ``emit_coasted`` unmatched confirmed tracks also emit their
     predicted boxes (until removed after ``tau_dead`` missed frames);
@@ -168,37 +171,26 @@ def step(
     ]
 
     first = match(iou_matrix(d_high, tracks), tcfg.tau_iou)
-    matched_tracks: set[int] = set()
     for di, tj in first.matches:
         _apply_match(tracks[tj], d_high[di], tcfg, rcfg, rescore_enabled)
-        matched_tracks.add(tj)
-
-    remaining_idx = list(first.unmatched_trackers)
-    remaining = [tracks[j] for j in remaining_idx]
-    second = match(iou_matrix(d_rem, remaining), tcfg.tau_iou)
+    left = [tracks[j] for j in first.unmatched_trackers]
+    second = match(iou_matrix(d_rem, left), tcfg.tau_iou)
     for di, tj in second.matches:
-        _apply_match(remaining[tj], d_rem[di], tcfg, rcfg, rescore_enabled)
-        matched_tracks.add(remaining_idx[tj])
-    # unmatched detections of the second pass are discarded
-
-    for j, t in enumerate(tracks):
-        if j not in matched_tracks:
-            t.mark_missed(tcfg.tau_dead)
+        _apply_match(left[tj], d_rem[di], tcfg, rcfg, rescore_enabled)
+    for tj in second.unmatched_trackers:
+        left[tj].mark_missed(tcfg.tau_dead)
 
     for di in first.unmatched_detections:
-        t = Track.from_detection(state.next_track_id, d_high[di])
+        tracks.append(Track.from_detection(state.next_track_id, d_high[di], tcfg.tau_init))
         state.next_track_id += 1
-        if t.hit_streak >= tcfg.tau_init:
-            t.status = TrackStatus.CONFIRMED
-        tracks.append(t)
 
+    # tracks is in creation order, so the outputs need no sort by id
     outputs = [
         TrackOutput(t.track_id, t.current_box(), t.class_id, t.conf)
         for t in tracks
         if t.status is TrackStatus.CONFIRMED
         and (t.frames_since_update == 0 or emit_coasted)
     ]
-    outputs.sort(key=lambda o: o.track_id)
 
     state.active_tracks = [t for t in tracks if t.status is not TrackStatus.REMOVED]
     state.frame_index = frame.frame_index

@@ -31,16 +31,20 @@ class Track:
     status: TrackStatus = TrackStatus.TENTATIVE
 
     @classmethod
-    def from_detection(cls, track_id: int, det: Detection) -> "Track":
-        """Start a tentative track; conf_agg mirrors the creating detection."""
-        return cls(
+    def from_detection(cls, track_id: int, det: Detection, tau_init: int) -> "Track":
+        """Start a track at its first hit, which ``mark_matched`` counts (so it
+        confirms only at ``tau_init`` 1); conf_agg mirrors the detection."""
+        track = cls(
             track_id=track_id,
             kf_state=kf_init(det.bbox),
             class_id=det.class_id,
             conf=det.conf,
             conf_agg=clamp_conf(det.conf),
             recent_confs=[det.conf],
+            hit_streak=0,
         )
+        track.mark_matched(tau_init)
+        return track
 
     def current_box(self) -> BBox:
         """Corner box of the current motion estimate."""

@@ -18,7 +18,7 @@ def _det(x1, y1, x2, y2, cls=0, conf=0.9):
 
 
 def _track(x1, y1, x2, y2, track_id=0):
-    return Track.from_detection(track_id, _det(x1, y1, x2, y2))
+    return Track.from_detection(track_id, _det(x1, y1, x2, y2), tau_init=2)
 
 
 def _total(matrix, result):

@@ -213,7 +213,10 @@ _MUTATIONS = st.one_of(
 # float, and 5 * 10**309 / 320 is a float that overflows the box's x2. A
 # coordinate over MAX_COORDINATE (1e100) is a parse error in every format,
 # and a detection box that exceeds it only at native resolution (9e99 * 320
-# / 192) is rejected like an overflowing rescale.
+# / 192) is rejected like an overflowing rescale. A detection box under the
+# motion filter's 1e-100 px height floor is rejected too: at 1e-200 its
+# variances underflow (the filter divided 0 by 0), and at 1e-250 the aspect
+# 1e100 / 1e-250 overflows (it never associated).
 _HUGE_BOX = [0, 0, 1e200, 1e200]
 _CASES = [
     ("detection", ("detections", 0, "bbox"), _HUGE_BOX, 2),
@@ -228,6 +231,8 @@ _CASES = [
     ("detection", ("detections",), [5], 2),
     ("detection", ("inference_resolution",), [0, 320], 2),
     ("detection", ("detections", 0, "bbox"), [10, 20, 60, 20], 3),
+    ("detection", ("detections", 0, "bbox"), [0, 0, 1, 1e-200], 3),
+    ("detection", ("detections", 0, "bbox"), [0, 0, 1e100, 1e-250], 3),
     ("detection", ("native_resolution",), [10**400, 320], 3),
     ("detection", ("native_resolution",), [5 * 10**309, 320], 3),
     ("groundtruth", ("frame",), "0", 2),

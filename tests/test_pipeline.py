@@ -1,14 +1,33 @@
 import copy
 import io
+import json
 import math
+import tempfile
+import warnings
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mrtrack.cli import EXIT_OK, main
-from mrtrack.core import BBox, Detection, FramePacket, RescoreConfig, TrackerConfig
+from mrtrack.core import (
+    MAX_COORDINATE,
+    MIN_HEIGHT,
+    BBox,
+    Detection,
+    FramePacket,
+    RescoreConfig,
+    TrackerConfig,
+)
 from mrtrack.evaluation import GroundTruthFrame
-from mrtrack.fileio import load_track_file, save_groundtruth_file, save_track_file
+from mrtrack.fileio import (
+    load_track_file,
+    preset_config,
+    save_groundtruth_file,
+    save_track_file,
+)
 from mrtrack.pipeline import (
     ResolutionSchedule,
     TrackerState,
@@ -273,3 +292,41 @@ class TestStepTracking:
         _, out1 = run_sequence(copy.deepcopy(frames), TCFG, RCFG)
         _, out2 = run_sequence(copy.deepcopy(frames), TCFG, RCFG)
         assert out1 == out2
+
+
+# Each side log-uniform over the loader's range, [MIN_HEIGHT, MAX_COORDINATE]
+# px. The center is within 1e6 times the smaller side of the origin: two
+# accepted boxes outside that bound still never associate (6 tracks, no
+# output), so they are documented limits, not drawn. One is a height of one
+# float step at 1e100, [-1e100, -1e100, 1e100, -9.999999999999999e99], which
+# cy +- h/2 rounds away in the predicted box; the other is [0, 0, 1e-250,
+# 1e-100], whose area underflows to 0.
+_SIDE = st.floats(-100, 100).map(lambda e: 10.0**e)
+
+
+class TestSteadyBox:
+    @settings(max_examples=100, deadline=None)
+    @given(_SIDE, _SIDE, st.floats(-1, 1), st.floats(-1, 1), st.integers(1, 6))
+    def test_one_track_emitted_from_confirmation_on(self, w, h, u, v, n):
+        reach = 1e6 * min(w, h)
+        cx, cy = u * reach, v * reach
+        box = [cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2]
+        assume(max(map(abs, box)) <= MAX_COORDINATE and box[3] - box[1] >= MIN_HEIGHT)
+        tau_init = preset_config("nanodet").tracker.tau_init
+        record = {"sequence_id": "s", "inference_resolution": list(RES),
+                  "native_resolution": list(RES),
+                  "detections": [{"bbox": box, "class": 0, "conf": 0.9}]}
+        with tempfile.TemporaryDirectory() as tmp:
+            dets, tracks = Path(tmp) / "dets.jsonl", Path(tmp) / "tracks.jsonl"
+            dets.write_text("".join(json.dumps(dict(record, frame=t)) + "\n" for t in range(n)))
+            out = io.StringIO()
+            with warnings.catch_warnings(), redirect_stdout(out):
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = main(["track", str(dets), "--preset", "nanodet", "--P", "0",
+                           "--out", str(tracks)])
+            assert rc == EXIT_OK
+            emitted = load_track_file(tracks)["s"]
+        assert "tracks created: 1 " in out.getvalue()
+        assert {t: [o.track_id for o in outs] for t, outs in emitted.items()} == {
+            t: [0] if t >= tau_init - 1 else [] for t in range(n)
+        }
