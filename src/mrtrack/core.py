@@ -13,7 +13,7 @@ conversion helpers between the two parameterizations live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 Resolution = tuple[int, int]
 
@@ -165,18 +165,14 @@ def rescale_bbox(b: BBox, from_res: Resolution, to_res: Resolution) -> BBox:
 
 def rescale_packet_to_native(packet: FramePacket) -> FramePacket:
     """Return a packet whose detection boxes are in native-resolution pixels."""
-    if packet.inference_resolution == packet.native_resolution:
+    res, native = packet.inference_resolution, packet.native_resolution
+    if res == native:
         return packet
     dets = tuple(
-        replace(
-            d,
-            bbox=rescale_bbox(
-                d.bbox, packet.inference_resolution, packet.native_resolution
-            ),
-        )
+        Detection(rescale_bbox(d.bbox, res, native), d.class_id, d.conf)
         for d in packet.detections
     )
-    return replace(packet, detections=dets)
+    return FramePacket(packet.frame_index, res, native, dets)
 
 
 def bbox_to_cxcyah(b: BBox) -> tuple[float, float, float, float]:

@@ -21,16 +21,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .association import iou_matrix, match
-from .core import (
-    Detection,
-    FramePacket,
-    RescoreConfig,
-    Resolution,
-    TrackerConfig,
-    clamp_conf,
-)
+from .core import Detection, FramePacket, RescoreConfig, Resolution, TrackerConfig
 from .kalman import kf_predict, kf_update
-from .rescore import RescoreDecision, rescore_update
+from .rescore import adopt, rescore_update
 from .tracks import Track, TrackOutput, TrackStatus
 
 
@@ -40,8 +33,9 @@ class ResolutionSchedule:
 
     ``P`` low-res frames separate consecutive full-res frames; the full-res
     fraction is 1 / (1 + P). MAC figures are per-inference totals (any unit,
-    as long as both share it); ``mac_full`` is positive, so the reduction
-    ``mean_mac`` reports is defined.
+    as long as both share it); ``mac_full`` is positive and ``mac_low /
+    mac_full`` finite, so the mean and reduction ``mean_mac`` reports are
+    finite for every ``P``.
     """
 
     P: int
@@ -60,6 +54,10 @@ class ResolutionSchedule:
         if not (0 < self.mac_full < math.inf and 0 <= self.mac_low < math.inf):
             raise ValueError(
                 f"need finite mac_full > 0 and mac_low >= 0: {self.mac_full}, {self.mac_low}"
+            )
+        if not math.isfinite(self.mac_low / self.mac_full):
+            raise ValueError(
+                f"need a finite mac_low / mac_full: {self.mac_low} / {self.mac_full}"
             )
 
 
@@ -87,9 +85,10 @@ def mean_mac(s: ResolutionSchedule) -> MacSummary:
     """Average per-frame MAC cost of the schedule and its relative reduction.
 
     reduction = 1 - mean / mac_full, i.e. the fraction of full-res-only
-    compute saved by interleaving.
+    compute saved by interleaving. ``rho`` divides integers, which cannot
+    overflow: as ``P`` grows it goes to 0.0 and the mean to ``mac_low``.
     """
-    rho = 1.0 / (1.0 + s.P)
+    rho = 1 / (1 + s.P)
     mean = rho * s.mac_full + (1.0 - rho) * s.mac_low
     return MacSummary(mean, 1.0 - mean / s.mac_full)
 
@@ -115,13 +114,7 @@ def _apply_match(
         decision = rescore_update(track, det, rcfg)
     else:
         # naive mode: the latest matched detection wins outright, as at a birth
-        decision = RescoreDecision(
-            det.class_id,
-            det.conf,
-            clamp_conf(det.conf),
-            det.class_id != track.class_id,
-            (det.conf,),
-        )
+        decision = adopt(det, det.class_id != track.class_id)
     track.apply_rescore(decision)
     track.mark_matched(tcfg.tau_init)
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import BBox, Detection, clamp_conf
+from .core import BBox, Detection
 from .kalman import KalmanState, kf_init, state_bbox
-from .rescore import RescoreDecision
+from .rescore import RescoreDecision, adopt
 
 
 class TrackStatus(Enum):
@@ -32,15 +32,12 @@ class Track:
 
     @classmethod
     def from_detection(cls, track_id: int, det: Detection, tau_init: int) -> "Track":
-        """Start a track at its first hit, which ``mark_matched`` counts (so it
-        confirms only at ``tau_init`` 1); conf_agg mirrors the detection."""
+        """Start a track at its first hit: the motion filter at ``det``'s box,
+        the class state ``rescore.adopt`` gives ``det``, and one hit counted by
+        ``mark_matched`` (so it confirms at once when ``tau_init`` is 1)."""
+        new_class, new_conf, conf_agg, _, history = adopt(det, False)
         track = cls(
-            track_id=track_id,
-            kf_state=kf_init(det.bbox),
-            class_id=det.class_id,
-            conf=det.conf,
-            conf_agg=clamp_conf(det.conf),
-            recent_confs=[det.conf],
+            track_id, kf_init(det.bbox), new_class, new_conf, conf_agg, list(history),
             hit_streak=0,
         )
         track.mark_matched(tau_init)

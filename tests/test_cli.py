@@ -393,6 +393,49 @@ class TestSweepCommand:
         assert f"{gt_empty}: no ground-truth objects" in capsys.readouterr().err
 
 
+def _strict_json(line):
+    """``line`` parsed as JSON proper: NaN and Infinity are not JSON values."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(line, parse_constant=reject)
+
+
+class TestCostModelRange:
+    """Every P the parsers accept prints a finite cost, however large (a
+    schedule whose cost ratio overflows is a `TestYamlTypes` row)."""
+
+    HUGE = 10**400
+
+    @pytest.fixture
+    def one_frame(self, tmp_path):
+        full, low, gt = tmp_path / "full.jsonl", tmp_path / "low.jsonl", tmp_path / "gt.jsonl"
+        save_detection_file(full, {"s": _cv_packets(n=1)})
+        save_detection_file(low, {"s": _cv_packets(n=1, res=(192, 192))})
+        save_groundtruth_file(gt, {"s": _gt_frames(n=1)})
+        return full, low, gt
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_track_with_p_past_float_range(self, tmp_path, one_frame, capsys, where):
+        flags = (["--preset", "nanodet", "--P", str(self.HUGE)] if where == "flag" else
+                 ["--config", str(_write_yaml(tmp_path / "cfg.yaml",
+                                              {"preset": "nanodet", "P": self.HUGE}))])
+        out = tmp_path / "tracks.jsonl"
+        assert main(["track", str(one_frame[0]), *flags, "--out", str(out)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "mean MAC 167.0 (63.9% reduction vs full-res)" in stdout
+        assert load_track_file(out) == {"s": {0: []}}
+
+    def test_sweep_with_p_past_float_range(self, tmp_path, one_frame, capsys):
+        rows_path = tmp_path / "rows.jsonl"
+        rc = main(["sweep", *map(str, one_frame), "--preset", "nanodet",
+                   "--P-values", f"0,{self.HUGE}", "--out", str(rows_path)])
+        assert rc == EXIT_OK
+        assert "63.9%" in capsys.readouterr().out
+        rows = [_strict_json(line) for line in rows_path.read_text().splitlines()]
+        assert [(r["P"], r["mean_mac"]) for r in rows] == [
+            (0, 463.0), (0, 463.0), (self.HUGE, 167.0), (self.HUGE, 167.0)]
+
+
 class TestStreamContract:
     """Tracked streams must run contiguously from frame 0, in full and low files alike."""
 
@@ -711,6 +754,9 @@ class TestYamlTypes:
                      id="mac-low-nan"),
         pytest.param({"schedule": {"mac_full": 10**400}}, "mac_full 1000",
                      id="mac-full-over-float-range"),
+        pytest.param({"schedule": {"mac_full": 1.0e-300, "mac_low": 1.0e10}},
+                     "need a finite mac_low / mac_full: 10000000000.0 / 1e-300",
+                     id="mac-ratio-over-float-range"),
         pytest.param({"preset": 5}, "bad preset 5: need one of effvit, nanodet, yolox",
                      id="preset-int"),
         pytest.param({"preset": True}, "bad preset True", id="preset-bool"),
@@ -976,8 +1022,8 @@ def _argv(draw, files):
                 *maybe("--out", [out])]
     if command == "sweep":
         return ["sweep", pick(files["dets"]), pick(files["dets"]), pick(files["gt"]), *config,
-                *maybe("--P-values", ["0,2", "1", "-1", "", "a", "0,0"]), *threshold, *grid,
-                *maybe("--out", [out])]
+                *maybe("--P-values", ["0,2", "1", "-1", "", "a", "0,0", f"0,{10**399}"]),
+                *threshold, *grid, *maybe("--out", [out])]
     if command == "synth":
         return ["synth", pick(files["scenario"]), "--out",
                 str(files["root"] / pick(["synth-out", "garbage.jsonl"])),

@@ -2,13 +2,14 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mrtrack.cli import EXIT_OK, main
@@ -23,9 +24,11 @@ from mrtrack.core import (
 )
 from mrtrack.evaluation import GroundTruthFrame
 from mrtrack.fileio import (
+    load_detection_file,
     load_track_file,
     preset_config,
     save_groundtruth_file,
+    save_scenario,
     save_track_file,
 )
 from mrtrack.pipeline import (
@@ -36,6 +39,7 @@ from mrtrack.pipeline import (
     run_sequence,
     step,
 )
+from mrtrack.synth import profile_scenario
 from mrtrack.tracks import TrackStatus
 
 # association thresholds of the small-CNN preset
@@ -99,6 +103,12 @@ class TestMeanMac:
         mac = mean_mac(s)
         assert mac.mean == pytest.approx(191.0)
         assert 100 * mac.reduction == pytest.approx(32.0, abs=0.5)
+
+    def test_p_past_float_range_costs_mac_low(self):
+        s = ResolutionSchedule(10**400, (320, 320), (192, 192), 463.0, 167.0)
+        mac = mean_mac(s)
+        assert mac.mean == 167.0
+        assert mac.reduction == 1 - 167.0 / 463.0
 
     def test_zero_full_cost_is_an_error(self):
         # the schedule itself rejects it, so mean_mac never sees one
@@ -330,3 +340,56 @@ class TestSteadyBox:
         assert {t: [o.track_id for o in outs] for t, outs in emitted.items()} == {
             t: [0] if t >= tau_init - 1 else [] for t in range(n)
         }
+
+
+def _ids_and_boxes(path):
+    """A track file's text with each track's class and confidence cut out."""
+    return re.sub(r', "class": \d+, "conf": [^}]+', "", path.read_text())
+
+
+def _run_ok(*argv):
+    with redirect_stdout(io.StringIO()):
+        assert main([str(a) for a in argv]) == EXIT_OK
+
+
+class TestRescoreChangesOnlyClasses:
+    """Rescoring decides a track's class and confidence and nothing else: with
+    or without it the same tracks exist, with the same ids and boxes; and the
+    naive tracker reports each emitted track as its frame's detection. The
+    effvit preset's band [0.10, 0.55) sends the most detections through the
+    second pass, where a class-dependent association would show; the pinned
+    corpus is one where it does."""
+
+    @settings(max_examples=25, deadline=None)
+    @example("cnn-like", 37959, 14, 14, 4)
+    @given(
+        st.sampled_from(["cnn-like", "vit-like"]),
+        st.integers(0, 2**16),
+        st.integers(1, 20),
+        st.integers(5, 60),
+        st.integers(0, 5),
+    )
+    def test_naive_and_rescored_tracks_share_ids_and_boxes(
+        self, profile, seed, n_objects, frames, P
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_scenario(tmp / "sc.yaml", profile_scenario(
+                profile, seed=seed, n_objects=n_objects, frame_count=frames))
+            _run_ok("synth", tmp / "sc.yaml", "--out", tmp / "corpus", "--P", P)
+            dets = tmp / "corpus" / f"detections_P{P}.jsonl"
+
+            def track(*flags):
+                out = tmp / f"tracks{''.join(flags)}.jsonl"
+                _run_ok("track", dets, "--preset", "effvit", "--P", P, *flags, "--out", out)
+                return out
+
+            for coasted in ([], ["--emit-coasted"]):
+                rescored = _ids_and_boxes(track(*coasted))
+                assert _ids_and_boxes(track(*coasted, "--no-rescore")) == rescored
+
+            loaded = {p.frame_index: {(d.class_id, d.conf) for d in p.detections}
+                      for p in load_detection_file(dets)[f"synth-{seed}"]}
+            naive = load_track_file(tmp / "tracks--no-rescore.jsonl")[f"synth-{seed}"]
+        for t, outs in naive.items():
+            assert {(o.class_id, o.conf) for o in outs} <= loaded[t]
