@@ -27,10 +27,12 @@ def iou_matrix(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarray
     """N x M matrix of IoU between detection boxes and current track boxes.
 
     Matching is class-agnostic: IoU alone decides association and the
-    rescoring step resolves class conflicts afterwards. Each entry equals
+    rescoring step resolves class conflicts afterwards. For a track box
+    inside [-MAX_COORDINATE, MAX_COORDINATE], each entry equals
     ``core.iou(det.bbox, track.current_box())`` bit for bit: the track
     corners come from the Kalman means by the arithmetic of
-    ``core.cxcyah_to_bbox`` and the IoU by that of ``core.iou``, broadcast.
+    ``core.cxcyah_to_bbox``, without its clamp to that range, and the IoU
+    by that of ``core.iou``, broadcast.
     """
     import numpy as np
 

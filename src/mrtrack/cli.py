@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import FramePacket, rescale_packet_to_native
+from .core import MAX_COORDINATE, FramePacket, Resolution, rescale_packet_to_native
 from .evaluation import (
     GroundTruthFrame, MetricsReport, Ranked, evaluate, f1_max_threshold, rank_corpus,
 )
@@ -17,12 +19,14 @@ from .fileio import (
     PRESET_NAMES,
     RunConfig,
     ValidationError,
+    check_detection_box,
     is_track_file,
     load_detection_file,
     load_groundtruth_file,
     load_run_config,
     load_scenario,
     load_track_file,
+    out_of_bounds,
     render_report,
     report_to_dict,
     save_detection_file,
@@ -119,11 +123,10 @@ def _validate_stream(seq: str, packets: list[FramePacket], cfg: RunConfig) -> No
     """Check that each frame's inference resolution is the one the schedule gives it."""
     sched = cfg.schedule
     for packet in packets:
-        expected = (
-            sched.full_res if is_full_res(packet.frame_index, sched.P) else sched.low_res
-        )
+        full = is_full_res(packet.frame_index, sched.P)
+        expected = sched.full_res if full else sched.low_res
         if packet.inference_resolution != expected:
-            kind = "full-res" if expected == sched.full_res else "low-res"
+            kind = "full-res" if full else "low-res"
             raise ValidationError(
                 f"sequence {seq!r} frame {packet.frame_index}: schedule P={sched.P} "
                 f"expects {kind} {expected}, file has {packet.inference_resolution}"
@@ -328,6 +331,49 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _check_generated(
+    scenario: str,
+    gt_frames: list[GroundTruthFrame],
+    levels: dict[Resolution, list[FramePacket]],
+) -> None:
+    """Every generated box passes the checks of the loader that reads it: the
+    bound of every box parser and, for a detection, ``check_detection_box``.
+    A ValidationError names the scenario file."""
+
+    def check(box, frame: int, inference=None, native=None) -> None:
+        try:
+            if out_of_bounds(box):
+                raise ValidationError(
+                    f"box {box.as_tuple()} has a coordinate over {MAX_COORDINATE:g}"
+                )
+            if inference is not None:
+                check_detection_box(box, inference, native)
+        except ValidationError as exc:
+            where = "ground truth" if inference is None else f"detections at {inference}"
+            raise ValidationError(
+                f"{scenario}: invalid scenario: {where} frame {frame}: {exc}"
+            ) from None
+
+    for g in gt_frames:
+        for box, _ in g.objects:
+            check(box, g.frame_index)
+    for res, packets in levels.items():
+        for p in packets:
+            for det in p.detections:
+                check(det.bbox, p.frame_index, res, p.native_resolution)
+
+
+def _check_names(out_dir: Path, names) -> None:
+    """An OSError for a name past the file system's limit, before ``out_dir``
+    or anything in it is created."""
+    existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    limit = os.pathconf(existing, "PC_NAME_MAX")
+    for name in names:
+        if len(os.fsencode(name)) > limit:
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG),
+                          str(out_dir / name))
+
+
 def cmd_synth(args) -> int:
     sc = load_scenario(args.scenario, seed=args.seed)
     if args.P is not None and len(sc.degradation) < 2:
@@ -335,37 +381,28 @@ def cmd_synth(args) -> int:
             "interleaved output needs at least two configured resolutions"
         )
     gt_frames, emulate = generate(sc)
+    levels = {lv.resolution: emulate(lv.resolution) for lv in sc.degradation}
+    _check_generated(args.scenario, gt_frames, levels)
+    # file name -> (saver, frames), in the order they are written and listed
+    outputs = {"gt.jsonl": (save_groundtruth_file, gt_frames)}
+    for (w, h), packets in levels.items():
+        outputs[f"detections_{w}x{h}.jsonl"] = (save_detection_file, packets)
+    if args.P is not None:
+        full, low = (levels[lv.resolution] for lv in (sc.by_area[0], sc.by_area[-1]))
+        stream = interleave(full, low, args.P)
+        outputs[f"detections_P{args.P}.jsonl"] = (save_detection_file, stream)
     out_dir = Path(args.out)
+    _check_names(out_dir, outputs)
+
     out_dir.mkdir(parents=True, exist_ok=True)
     seq = f"synth-{sc.seed}"
-
-    save_groundtruth_file(out_dir / "gt.jsonl", {seq: gt_frames})
-    written = ["gt.jsonl"]
-    packets_by_res = {}
-    for level in sc.degradation:
-        w, h = level.resolution
-        packets = emulate(level.resolution)
-        packets_by_res[level.resolution] = packets
-        name = f"detections_{w}x{h}.jsonl"
-        save_detection_file(out_dir / name, {seq: packets})
-        written.append(name)
-
-    if args.P is not None:
-        by_area = sorted(
-            packets_by_res, key=lambda res: res[0] * res[1], reverse=True
-        )
-        stream = interleave(
-            packets_by_res[by_area[0]], packets_by_res[by_area[-1]], args.P
-        )
-        name = f"detections_P{args.P}.jsonl"
-        save_detection_file(out_dir / name, {seq: stream})
-        written.append(name)
-
+    for name, (save, frames) in outputs.items():
+        save(out_dir / name, {seq: frames})
     print(
         f"scenario seed={sc.seed}: {sc.n_objects} objects, "
         f"{sc.frame_count} frames -> {out_dir}"
     )
-    for name in written:
+    for name in outputs:
         print(f"  {name}")
     return EXIT_OK
 

@@ -194,7 +194,14 @@ def bbox_to_cxcyah(b: BBox) -> tuple[float, float, float, float]:
 
 
 def cxcyah_to_bbox(cx: float, cy: float, a: float, h: float) -> BBox:
-    """(center, aspect, height) back to a corner box, clamped non-degenerate."""
+    """(center, aspect, height) back to a corner box, clamped non-degenerate
+    and into [-MAX_COORDINATE, MAX_COORDINATE], where a file can hold it."""
     h = max(h, 0.0)
     w = max(a, 0.0) * h
-    return BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+    x1, y1, x2, y2 = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+    # x1 <= x2 and y1 <= y2, so these four bound all four corners
+    if not (-MAX_COORDINATE <= x1 and -MAX_COORDINATE <= y1
+            and x2 <= MAX_COORDINATE and y2 <= MAX_COORDINATE):
+        x1, y1, x2, y2 = (min(max(v, -MAX_COORDINATE), MAX_COORDINATE)
+                          for v in (x1, y1, x2, y2))
+    return BBox(x1, y1, x2, y2)

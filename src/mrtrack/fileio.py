@@ -86,7 +86,9 @@ def _resolution(value, what: str) -> Resolution:
     return (value[0], value[1])
 
 
-def _out_of_bounds(box: BBox) -> bool:
+def out_of_bounds(box: BBox) -> bool:
+    """Whether a coordinate's magnitude is over ``MAX_COORDINATE``, which
+    every loader rejects."""
     return max(map(abs, box.as_tuple())) > MAX_COORDINATE
 
 
@@ -97,7 +99,7 @@ def _bbox(value) -> BBox:
         if not _NUMBERS.issuperset(map(type, value)):
             raise ValueError("coordinates must be numbers")
         box = BBox(*map(float, value))
-        if _out_of_bounds(box):
+        if out_of_bounds(box):
             raise ValueError(f"a coordinate exceeds {MAX_COORDINATE:g}")
         return box
     except (ValueError, OverflowError) as exc:
@@ -198,33 +200,40 @@ def _box_list(b: BBox) -> list[float]:
     return [float(v) for v in b.as_tuple()]
 
 
+def check_detection_box(bbox: BBox, inference: Resolution, native: Resolution) -> None:
+    """The detection loader's checks on a box at its ``inference`` resolution
+    past the parser's bound: a ValidationError if rescaling it to ``native``
+    resolution overflows or takes a coordinate over ``MAX_COORDINATE``, or
+    if the native box is outside the motion filter's domain
+    (``core.bbox_to_cxcyah``: a height under ``MIN_HEIGHT``)."""
+    # as rescale_packet_to_native will: no rescale when the resolutions match
+    try:
+        native_box = bbox if inference == native else rescale_bbox(bbox, inference, native)
+    except (OverflowError, ValueError) as exc:
+        raise ValidationError(
+            f"box {bbox.as_tuple()} does not rescale to native resolution: {exc}"
+        ) from None
+    if out_of_bounds(native_box):
+        raise ValidationError(
+            f"box {bbox.as_tuple()} at native resolution has a coordinate "
+            f"over {MAX_COORDINATE:g}"
+        )
+    try:
+        bbox_to_cxcyah(native_box)
+    except ValueError as exc:
+        raise ValidationError(f"{exc} (at native resolution)") from None
+
+
 def load_detection_file(path: str | Path) -> dict[str, list[FramePacket]]:
     """Parse a detection file into per-sequence frame packets.
 
-    Confidences are clamped to [0, 1 - epsilon]. A box is a ValidationError
-    if rescaling it to native resolution overflows or takes a coordinate
-    over ``MAX_COORDINATE``, or if its native box is outside the motion
-    filter's domain (``core.bbox_to_cxcyah``: a height under ``MIN_HEIGHT``).
+    Confidences are clamped to [0, 1 - epsilon], and each box passes
+    ``check_detection_box``.
     """
 
     def entry(e: dict, header: tuple[Resolution, Resolution]) -> Detection:
         bbox = _bbox(_field(e, "bbox"))
-        # as rescale_packet_to_native will: no rescale when the resolutions match
-        try:
-            native = bbox if header[0] == header[1] else rescale_bbox(bbox, *header)
-        except (OverflowError, ValueError) as exc:
-            raise ValidationError(
-                f"box {bbox.as_tuple()} does not rescale to native resolution: {exc}"
-            ) from None
-        if _out_of_bounds(native):
-            raise ValidationError(
-                f"box {bbox.as_tuple()} at native resolution has a coordinate "
-                f"over {MAX_COORDINATE:g}"
-            )
-        try:
-            bbox_to_cxcyah(native)
-        except ValueError as exc:
-            raise ValidationError(f"{exc} (at native resolution)") from None
+        check_detection_box(bbox, *header)
         cls = _index(_field(e, "class"), "class")
         return Detection(bbox, cls, clamp_conf(_conf(_field(e, "conf"))))
 
@@ -472,11 +481,12 @@ def load_run_config(
         raise ValidationError(f"{where}bad config value: {exc}") from exc
 
 
-def load_scenario(path: str | Path, **overrides) -> SynthScenario:
-    """Parse a scenario YAML document; each override that is not None (the
-    CLI's ``--seed``) replaces the file's value."""
+def load_scenario(path: str | Path, seed: int | None = None) -> SynthScenario:
+    """Parse a scenario YAML document; a ``seed`` that is not None (the
+    CLI's ``--seed``) replaces the file's."""
     doc = _read_mapping(path, "scenario")
-    doc.update((k, v) for k, v in overrides.items() if v is not None)
+    if seed is not None:
+        doc["seed"] = seed
     try:
         return _parse(SynthScenario, doc, "")
     except KeyError as exc:

@@ -34,8 +34,8 @@ class ResolutionSchedule:
     ``P`` low-res frames separate consecutive full-res frames; the full-res
     fraction is 1 / (1 + P). MAC figures are per-inference totals (any unit,
     as long as both share it); ``mac_full`` is positive and ``mac_low /
-    mac_full`` finite, so the mean and reduction ``mean_mac`` reports are
-    finite for every ``P``.
+    mac_full`` finite, all as floats, so the mean and reduction ``mean_mac``
+    reports are finite for every ``P``.
     """
 
     P: int
@@ -51,11 +51,15 @@ class ResolutionSchedule:
             raise ValueError(
                 f"low_res {self.low_res} exceeds full_res {self.full_res}"
             )
-        if not (0 < self.mac_full < math.inf and 0 <= self.mac_low < math.inf):
+        try:
+            full, low = float(self.mac_full), float(self.mac_low)
+        except OverflowError:  # an int past the float range
+            full = low = math.inf
+        if not (0 < full < math.inf and 0 <= low < math.inf):
             raise ValueError(
                 f"need finite mac_full > 0 and mac_low >= 0: {self.mac_full}, {self.mac_low}"
             )
-        if not math.isfinite(self.mac_low / self.mac_full):
+        if not math.isfinite(low / full):
             raise ValueError(
                 f"need a finite mac_low / mac_full: {self.mac_low} / {self.mac_full}"
             )
@@ -144,7 +148,9 @@ def step(
     coasting height: it follows ``h + vh``, so a shrinking track's height
     can pass 0, and ``cxcyah_to_bbox`` then clamps the emitted box to zero
     height and width at the predicted center. Such boxes are emitted until
-    ``tau_dead``; the Kalman mean stays finite.
+    ``tau_dead``; the Kalman mean stays finite. Nor does anything bound a
+    coasting center, so ``cxcyah_to_bbox`` also clamps each emitted corner
+    into [-MAX_COORDINATE, MAX_COORDINATE], the range the loaders accept.
     """
     if frame.frame_index != state.frame_index + 1:
         raise ValueError(

@@ -15,8 +15,19 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
-from .core import BBox, Detection, FramePacket, Resolution, clamp_conf, rescale_bbox
+from .core import (
+    MAX_COORDINATE, BBox, Detection, FramePacket, Resolution, clamp_conf, rescale_bbox,
+)
 from .evaluation import GroundTruthFrame
+
+
+def _check_resolution(res: Resolution, what: str) -> None:
+    """Each side positive and at most ``MAX_COORDINATE``, which also bounds
+    the length of the file name ``synth`` gives a level."""
+    if min(res) <= 0:
+        raise ValueError(f"{what} must be positive: {res}")
+    if max(res) > MAX_COORDINATE:
+        raise ValueError(f"{what} has a side over {MAX_COORDINATE:g}: {res}")
 
 
 @dataclass(frozen=True)
@@ -30,8 +41,7 @@ class DegradationLevel:
     bbox_jitter_std: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.resolution) <= 0:
-            raise ValueError(f"resolution must be positive: {self.resolution}")
+        _check_resolution(self.resolution, "resolution")
         for p in (self.drop_prob, self.class_flip_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability out of [0, 1]: {p}")
@@ -64,10 +74,7 @@ class SynthScenario:
             raise ValueError(f"n_classes must be >= 1: {self.n_classes}")
         if not 0.0 <= self.direction_change_prob <= 1.0:
             raise ValueError("direction_change_prob out of [0, 1]")
-        if min(self.native_resolution) <= 0:
-            raise ValueError(
-                f"native_resolution must be positive: {self.native_resolution}"
-            )
+        _check_resolution(self.native_resolution, "native_resolution")
         # every range is sampled uniformly: its ends must be finite and ordered
         for name in ("speed_range", "size_range", "base_conf_range"):
             low, high = getattr(self, name)
@@ -91,17 +98,18 @@ class SynthScenario:
                 raise ValueError(f"duplicate resolution {level.resolution}")
             seen.add(level.resolution)
         # lower resolution must never be configured as less degraded
-        by_area = sorted(
-            self.degradation,
-            key=lambda lv: lv.resolution[0] * lv.resolution[1],
-            reverse=True,
-        )
+        by_area = self.by_area
         for hi, lo in zip(by_area, by_area[1:]):
             if lo.drop_prob < hi.drop_prob or lo.class_flip_prob < hi.class_flip_prob:
                 raise ValueError(
                     f"degradation not monotone: {lo.resolution} is less degraded "
                     f"than {hi.resolution}"
                 )
+
+    @property
+    def by_area(self) -> list[DegradationLevel]:
+        """The levels by resolution area, largest first, stable on ties."""
+        return sorted(self.degradation, key=lambda lv: -lv.resolution[0] * lv.resolution[1])
 
     def level_for(self, resolution: Resolution) -> DegradationLevel:
         for level in self.degradation:
@@ -141,7 +149,10 @@ def _build_trajectories(sc: SynthScenario) -> list[_Trajectory]:
 
         boxes = []
         for _t in range(sc.frame_count):
-            boxes.append(BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+            # plain floats, as a loaded file gives; cx and cy stay numpy
+            # scalars, so the motion's arithmetic is unchanged
+            corners = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+            boxes.append(BBox(*map(float, corners)))
             if sc.direction_change_prob > 0 and rng.random() < sc.direction_change_prob:
                 angle = float(rng.uniform(0, 2 * np.pi))
                 vx, vy = speed * np.cos(angle), speed * np.sin(angle)
@@ -201,7 +212,7 @@ def generate(
                     continue
                 box = rescale_bbox(traj.boxes[t], sc.native_resolution, resolution)
                 if level.bbox_jitter_std > 0:
-                    j = jitter * level.bbox_jitter_std
+                    j = (jitter * level.bbox_jitter_std).tolist()
                     x1, y1 = box.x1 + j[0], box.y1 + j[1]
                     x2, y2 = box.x2 + j[2], box.y2 + j[3]
                     box = BBox(

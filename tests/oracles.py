@@ -9,7 +9,7 @@ from itertools import permutations
 import numpy as np
 
 from mrtrack.association import MatchResult
-from mrtrack.evaluation import ClassMetrics, MetricsReport, average_precision, match_frame_flags
+from mrtrack.evaluation import ClassMetrics, MetricsReport
 
 
 def brute_force_assignment_value(matrix, tau):
@@ -129,13 +129,41 @@ def grid_counts_oracle(records, grid):
     return list(zip(kept.tolist(), prefix_tp[kept].tolist()))
 
 
+def iou_oracle(a, b):
+    """IoU of two corner boxes from their coordinates; 0.0 for an empty union."""
+    ax1, ay1, ax2, ay2 = a.as_tuple()
+    bx1, by1, bx2, by2 = b.as_tuple()
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    inter = iw * ih if iw > 0.0 and ih > 0.0 else 0.0
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return inter / union if union > 0.0 else 0.0
+
+
+def match_flags_oracle(dets, gts, gate=0.5):
+    """TP flag per detection, in the given order, by the greedy rule: each
+    claims the unclaimed ground truth of its class with the highest IoU (the
+    first on ties) when that IoU exceeds ``gate``."""
+    claimed, flags = set(), []
+    for d in dets:
+        candidates = [(iou_oracle(d.bbox, box), -j) for j, (box, cls) in enumerate(gts)
+                      if cls == d.class_id and j not in claimed]
+        best, neg_j = max(candidates, default=(0.0, None))
+        flags.append(best > gate)
+        if flags[-1]:
+            claimed.add(-neg_j)
+    return flags
+
+
 def evaluate_oracle(dets_by_frame, gts_by_frame, threshold):
     """The report at ``threshold`` by filter-then-match: detections below the
     threshold are dropped before any frame is ranked and matched, and a class
     is scored when it has ground truth or a kept detection.
 
     The reference for ``evaluation.evaluate``, which instead cuts a prefix
-    of each class's ranking in a table matched once at threshold 0.
+    of each class's ranking in a table matched once at threshold 0. It
+    matches with ``match_flags_oracle`` and scores AP with
+    ``average_precision_oracle``, none of the code it checks.
     """
     records, n_gt = {}, {}
     for key in sorted(set(dets_by_frame) | set(gts_by_frame)):
@@ -144,7 +172,7 @@ def evaluate_oracle(dets_by_frame, gts_by_frame, threshold):
             n_gt[gcls] = n_gt.get(gcls, 0) + 1
         kept = [d for d in dets_by_frame.get(key, ()) if d.conf >= threshold]
         dets = sorted(kept, key=lambda d: -d.conf)
-        for d, f in zip(dets, match_frame_flags(dets, gts)):
+        for d, f in zip(dets, match_flags_oracle(dets, gts)):
             records.setdefault(d.class_id, []).append((d.conf, f))
     per_class = {}
     for cls in sorted(set(records) | set(n_gt)):
@@ -157,7 +185,7 @@ def evaluate_oracle(dets_by_frame, gts_by_frame, threshold):
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_class[cls] = ClassMetrics(
-            average_precision(flags, gt_count), precision, recall, f1, tp, fp, fn
+            average_precision_oracle(flags, gt_count), precision, recall, f1, tp, fp, fn
         )
 
     def mean(name):

@@ -114,6 +114,36 @@ class TestTrackCommand:
         err = capsys.readouterr().err
         assert "frame 3" in err
 
+    def test_schedule_mismatch_names_the_low_res_slot(self, tmp_path):
+        # low_res equals full_res, so the slot cannot be told from the resolution
+        packets = _cv_packets(n=3)
+        packets[1] = replace(packets[1], inference_resolution=(192, 192))
+        dets = tmp_path / "dets.jsonl"
+        save_detection_file(dets, {"s": packets})
+        config = _write_yaml(tmp_path / "cfg.yaml",
+                             {"preset": "nanodet", "schedule": {"low_res": [320, 320]}})
+        rc, err = _run(["track", str(dets), "--config", str(config), "--P", "1",
+                        "--out", str(tmp_path / "t.jsonl")])
+        assert rc == EXIT_VALIDATION
+        assert ("sequence 's' frame 1: schedule P=1 expects low-res (320, 320), "
+                "file has (192, 192)") in err
+
+    def test_coasted_boxes_stay_in_the_loadable_range(self, tmp_path):
+        # a 5e99-px box moving 1e99 px a frame coasts past 1e100 after frame 3
+        packets = [
+            FramePacket(t, FULL, FULL, (Detection(
+                BBox(t * 1e99, 0, t * 1e99 + 5e99, 1), 0, 0.9),) if t < 4 else ())
+            for t in range(10)
+        ]
+        dets, tracks, gt = (tmp_path / n for n in ("dets.jsonl", "t.jsonl", "gt.jsonl"))
+        save_detection_file(dets, {"s": packets})
+        save_groundtruth_file(gt, {"s": [GroundTruthFrame(t, ()) for t in range(10)]})
+        assert _run(["track", str(dets), "--preset", "nanodet", "--P", "0",
+                     "--emit-coasted", "--out", str(tracks)]) == (EXIT_OK, "")
+        emitted = load_track_file(tracks)["s"]
+        assert [outs[0].bbox.x2 for outs in (emitted[6], emitted[7])] == [1e100, 1e100]
+        assert _run(["eval", str(tracks), str(gt), "--threshold", "fixed:0.5"]) == (EXIT_OK, "")
+
     def test_malformed_record_is_parse_error(self, tmp_path, capsys):
         dets = tmp_path / "dets.jsonl"
         dets.write_text("{broken\n")
@@ -591,6 +621,10 @@ def _scenario_doc(**changes) -> dict:
     return {**doc, **changes}
 
 
+# the scenario of the synth corpus-check repros: 2 objects, 3 frames, seed 1
+_REPRO = {"seed": 1, "n_objects": 2, "frame_count": 3}
+
+
 def _level(**changes) -> list:
     """The default two degradation levels, the low one changed."""
     return [{"resolution": [320, 320]}, {"resolution": [192, 192], **changes}]
@@ -699,6 +733,27 @@ class TestScenarioChecks:
                      [], "noise std must be finite", id="jitter-inf"),
         pytest.param({"degradation": [{"resolution": [320, 320]}]}, ["--P", "2"],
                      "needs at least two configured resolutions", id="P-with-one-level"),
+        # each of these used to crash or write a corpus that eval rejects
+        pytest.param({**_REPRO, "native_resolution": [10**400, 320]}, [],
+                     "native_resolution has a side over 1e+100", id="native-past-float-range"),
+        pytest.param({**_REPRO, "native_resolution": [10**150, 320]}, [],
+                     "native_resolution has a side over 1e+100", id="native-past-bound"),
+        pytest.param({**_REPRO, "degradation": [{"resolution": [320, 320]},
+                                                {"resolution": [10**101, 192]}]}, [],
+                     "resolution has a side over 1e+100", id="level-past-bound"),
+        # 28-72 px boxes vanish at 1e100, and the [1, 1] boxes rescale past the bound
+        pytest.param({**_REPRO, "native_resolution": [10**100, 10**100],
+                      "degradation": [{"resolution": [10**100, 10**100]},
+                                      {"resolution": [1, 1], "bbox_jitter_std": 0.5}]}, [],
+                     "px floor (at native resolution)", id="boxes-vanish-at-the-bound"),
+        pytest.param({**_REPRO, "degradation": _level(bbox_jitter_std=1.0e150)}, [],
+                     "detections at (192, 192) frame 0: box", id="jitter-past-bound"),
+        # flung out of the frame at 1e101 px a frame; every detection is dropped
+        pytest.param({**_REPRO, "native_resolution": [10**20, 10**20],
+                      "size_range": [1.0e19, 5.0e19], "speed_range": [1.0e101, 1.0e101],
+                      "degradation": [{"resolution": [10**20, 10**20], "drop_prob": 1.0},
+                                      {"resolution": [1, 1], "drop_prob": 1.0}]}, [],
+                     "ground truth frame 1: box", id="ground-truth-past-bound"),
     ])
     def test_rejected_before_writing(self, tmp_path, changes, extra, message):
         scenario = _write_yaml(tmp_path / "scenario.yaml", _scenario_doc(**changes))
@@ -708,6 +763,15 @@ class TestScenarioChecks:
         assert message in err
         if not extra:
             assert f"error: {scenario}: invalid scenario: " in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_name_too_long_rejected_before_writing(self, tmp_path):
+        scenario = _write_yaml(tmp_path / "scenario.yaml", _scenario_doc(**_REPRO))
+        out = tmp_path / "corpus"
+        rc, err = _run(["synth", str(scenario), "--out", str(out), "--P", str(10**300)])
+        assert rc == EXIT_PARSE, err
+        assert err.count("error:") == 1 and "File name too long" in err
         assert not out.exists()
 
 

@@ -115,6 +115,12 @@ class TestMeanMac:
         with pytest.raises(ValueError):
             ResolutionSchedule(1, (320, 320), (192, 192), 0.0, 0.0)
 
+    @pytest.mark.parametrize("mac_full, mac_low", [(1, 10**400), (10**400, 1)],
+                             ids=["mac-low", "mac-full"])
+    def test_mac_figures_past_float_range_are_rejected(self, mac_full, mac_low):
+        with pytest.raises(ValueError, match="need finite mac_full > 0 and mac_low >= 0"):
+            ResolutionSchedule(1, (320, 320), (192, 192), mac_full, mac_low)
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             ResolutionSchedule(-1, (320, 320), (192, 192), 1.0, 1.0)

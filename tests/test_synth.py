@@ -56,6 +56,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             emulate((64, 64))
 
+    def test_levels_by_area_largest_first_stable_on_ties(self):
+        levels = tuple(DegradationLevel(resolution=res)
+                       for res in [(96, 96), (320, 320), (192, 48), (48, 192)])
+        sc = SynthScenario(seed=1, n_objects=1, frame_count=1, native_resolution=FULL,
+                           degradation=levels)
+        assert [lv.resolution for lv in sc.by_area] == [
+            (320, 320), (96, 96), (192, 48), (48, 192)]
+
     def test_probability_range(self):
         with pytest.raises(ValueError):
             DegradationLevel(resolution=FULL, drop_prob=1.5)
