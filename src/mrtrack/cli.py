@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import MAX_COORDINATE, FramePacket, Resolution, rescale_packet_to_native
+from .core import MAX_COORDINATE, BBox, FramePacket, Resolution, rescale_packet_to_native
 from .evaluation import (
     GroundTruthFrame, MetricsReport, Ranked, evaluate, f1_max_threshold, rank_corpus,
 )
@@ -341,6 +341,8 @@ def _check_generated(
     A ValidationError names the scenario file."""
 
     def check(box, frame: int, inference=None, native=None) -> None:
+        # plain floats, as a loaded file's, so a message prints plain numbers
+        box = BBox(*map(float, box.as_tuple()))
         try:
             if out_of_bounds(box):
                 raise ValidationError(
@@ -368,6 +370,8 @@ def _check_names(out_dir: Path, names) -> None:
     or anything in it is created."""
     existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
     limit = os.pathconf(existing, "PC_NAME_MAX")
+    if limit < 0:  # the file system sets no limit
+        return
     for name in names:
         if len(os.fsencode(name)) > limit:
             raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG),

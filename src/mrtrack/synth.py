@@ -149,10 +149,7 @@ def _build_trajectories(sc: SynthScenario) -> list[_Trajectory]:
 
         boxes = []
         for _t in range(sc.frame_count):
-            # plain floats, as a loaded file gives; cx and cy stay numpy
-            # scalars, so the motion's arithmetic is unchanged
-            corners = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-            boxes.append(BBox(*map(float, corners)))
+            boxes.append(BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
             if sc.direction_change_prob > 0 and rng.random() < sc.direction_change_prob:
                 angle = float(rng.uniform(0, 2 * np.pi))
                 vx, vy = speed * np.cos(angle), speed * np.sin(angle)
@@ -212,7 +209,7 @@ def generate(
                     continue
                 box = rescale_bbox(traj.boxes[t], sc.native_resolution, resolution)
                 if level.bbox_jitter_std > 0:
-                    j = (jitter * level.bbox_jitter_std).tolist()
+                    j = jitter * level.bbox_jitter_std
                     x1, y1 = box.x1 + j[0], box.y1 + j[1]
                     x2, y2 = box.x2 + j[2], box.y2 + j[3]
                     box = BBox(

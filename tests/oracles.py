@@ -140,16 +140,16 @@ def iou_oracle(a, b):
     return inter / union if union > 0.0 else 0.0
 
 
-def match_flags_oracle(dets, gts, gate=0.5):
+def match_flags_oracle(dets, gts):
     """TP flag per detection, in the given order, by the greedy rule: each
     claims the unclaimed ground truth of its class with the highest IoU (the
-    first on ties) when that IoU exceeds ``gate``."""
+    first on ties) when that IoU exceeds the VOC gate of 0.5."""
     claimed, flags = set(), []
     for d in dets:
         candidates = [(iou_oracle(d.bbox, box), -j) for j, (box, cls) in enumerate(gts)
                       if cls == d.class_id and j not in claimed]
         best, neg_j = max(candidates, default=(0.0, None))
-        flags.append(best > gate)
+        flags.append(best > 0.5)
         if flags[-1]:
             claimed.add(-neg_j)
     return flags

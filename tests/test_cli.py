@@ -774,6 +774,14 @@ class TestScenarioChecks:
         assert err.count("error:") == 1 and "File name too long" in err
         assert not out.exists()
 
+    def test_file_system_without_a_name_limit(self, tmp_path, monkeypatch):
+        # pathconf reports -1 where the file system sets no name limit
+        monkeypatch.setattr(os, "pathconf", lambda path, name: -1)
+        scenario = _write_yaml(tmp_path / "scenario.yaml", _scenario_doc(**_REPRO))
+        out = tmp_path / "corpus"
+        assert _run(["synth", str(scenario), "--out", str(out), "--P", "2"]) == (EXIT_OK, "")
+        assert (out / "detections_P2.jsonl").exists()
+
 
 @pytest.fixture(scope="module")
 def p5_corpus(tmp_path_factory):
