@@ -40,7 +40,7 @@ def iou_matrix(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarray
         # the second pass often has nothing on one side; skip the array set-up
         return np.zeros((len(dets), len(tracks)))
     d = np.array([det.bbox.as_tuple() for det in dets])
-    cx, cy, a, h = np.array([t.kf_state.mean[:4] for t in tracks]).T
+    cx, cy, a, h = np.array([t.kf_state[:4] for t in tracks]).T
     h = np.maximum(h, 0.0)
     w = np.maximum(a, 0.0) * h
     tx1, ty1, tx2, ty2 = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0

@@ -13,6 +13,7 @@ conversion helpers between the two parameterizations live here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 Resolution = tuple[int, int]
@@ -26,6 +27,7 @@ MAX_COORDINATE = 1e100
 # normal floats (at 1e-200 they underflow and the update divides 0 by 0), and
 # within MAX_COORDINATE the aspect w / h <= 2e200 stays finite.
 MIN_HEIGHT = 1.0 / MAX_COORDINATE
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,12 @@ class BBox:
     y2: float
 
     def __post_init__(self) -> None:
+        # one chain holds only for ordered corners within the float range,
+        # where the checks below all pass; anything else takes those checks
+        if -_FLOAT_MAX <= self.x1 <= self.x2 <= _FLOAT_MAX and (
+            -_FLOAT_MAX <= self.y1 <= self.y2 <= _FLOAT_MAX
+        ):
+            return
         for v in (self.x1, self.y1, self.x2, self.y2):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite box coordinate: {v!r}")
@@ -180,14 +188,17 @@ def bbox_to_cxcyah(b: BBox) -> tuple[float, float, float, float]:
 
     The motion filter's one input check: a ValueError unless the height is
     at least ``MIN_HEIGHT`` and all four are finite. Zero width gives aspect 0.
+    Each corner is converted with ``float()`` first, which is exact for
+    ``numpy.float64``, so the result is plain floats whatever ``b`` holds.
     """
-    h = b.height
+    x1, y1, x2, y2 = float(b.x1), float(b.y1), float(b.x2), float(b.y2)
+    h = y2 - y1
     if h < MIN_HEIGHT:
         what = "zero-height box" if h == 0.0 else f"box of height {h!r}"
         raise ValueError(
             f"{what} {b.as_tuple()} is under the motion filter's {MIN_HEIGHT:g} px floor"
         )
-    z = ((b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0, b.width / h, h)
+    z = ((x1 + x2) / 2.0, (y1 + y2) / 2.0, (x2 - x1) / h, h)
     if not all(map(math.isfinite, z)):
         raise ValueError(f"box {b.as_tuple()}: non-finite center, aspect or height")
     return z
@@ -196,8 +207,9 @@ def bbox_to_cxcyah(b: BBox) -> tuple[float, float, float, float]:
 def cxcyah_to_bbox(cx: float, cy: float, a: float, h: float) -> BBox:
     """(center, aspect, height) back to a corner box, clamped non-degenerate
     and into [-MAX_COORDINATE, MAX_COORDINATE], where a file can hold it."""
-    h = max(h, 0.0)
-    w = max(a, 0.0) * h
+    # max(h, 0.0) and max(a, 0.0), signed zeros included, without two calls
+    h = 0.0 if h < 0.0 else h
+    w = (0.0 if a < 0.0 else a) * h
     x1, y1, x2, y2 = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
     # x1 <= x2 and y1 <= y2, so these four bound all four corners
     if not (-MAX_COORDINATE <= x1 and -MAX_COORDINATE <= y1

@@ -48,6 +48,11 @@ class DegradationLevel:
         for std in (self.conf_noise_std, self.bbox_jitter_std):
             if not 0.0 <= std < math.inf:
                 raise ValueError(f"noise std must be finite and non-negative: {std}")
+        # a larger jitter draw can overflow before any box check runs
+        if self.bbox_jitter_std > MAX_COORDINATE:
+            raise ValueError(
+                f"bbox_jitter_std is over {MAX_COORDINATE:g}: {self.bbox_jitter_std}"
+            )
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,9 @@ class SynthScenario:
         for name in ("speed_range", "size_range"):
             if getattr(self, name)[0] < 0.0:
                 raise ValueError(f"{name} must be non-negative: {getattr(self, name)}")
+        # a faster object's position can overflow before any box check runs
+        if self.speed_range[1] > MAX_COORDINATE:
+            raise ValueError(f"speed_range has an end over {MAX_COORDINATE:g}: {self.speed_range}")
         if self.size_range[1] == 0.0:
             raise ValueError("size_range must not be (0, 0): boxes need a height")
         if self.size_range[1] > min(self.native_resolution):

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import BBox, Detection
 from .kalman import KalmanState, kf_init, state_bbox
@@ -16,16 +17,20 @@ class TrackStatus(Enum):
     REMOVED = "removed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Track:
-    """One tracked object: motion state, class hypothesis, lifecycle counters."""
+    """One tracked object: motion state, class hypothesis, lifecycle counters.
+
+    ``recent_confs`` is the window of matched detection confidences, a tuple
+    that each fusion decision replaces whole.
+    """
 
     track_id: int
     kf_state: KalmanState
     class_id: int
     conf: float
     conf_agg: float
-    recent_confs: list[float] = field(default_factory=list)
+    recent_confs: tuple[float, ...] = ()
     hit_streak: int = 1
     frames_since_update: int = 0
     status: TrackStatus = TrackStatus.TENTATIVE
@@ -37,8 +42,7 @@ class Track:
         ``mark_matched`` (so it confirms at once when ``tau_init`` is 1)."""
         new_class, new_conf, conf_agg, _, history = adopt(det, False)
         track = cls(
-            track_id, kf_init(det.bbox), new_class, new_conf, conf_agg, list(history),
-            hit_streak=0,
+            track_id, kf_init(det.bbox), new_class, new_conf, conf_agg, history, hit_streak=0
         )
         track.mark_matched(tau_init)
         return track
@@ -49,10 +53,7 @@ class Track:
 
     def apply_rescore(self, decision: RescoreDecision) -> None:
         """Adopt a fusion decision."""
-        self.class_id = decision.new_class
-        self.conf = decision.new_conf
-        self.conf_agg = decision.new_conf_agg
-        self.recent_confs = list(decision.history)
+        self.class_id, self.conf, self.conf_agg, _, self.recent_confs = decision
 
     def mark_matched(self, tau_init: int) -> None:
         """Register a match for lifecycle purposes (call after kf/rescore)."""
@@ -72,8 +73,7 @@ class Track:
             self.status = TrackStatus.REMOVED
 
 
-@dataclass(frozen=True)
-class TrackOutput:
+class TrackOutput(NamedTuple):
     """One emitted track observation: id, motion-refined box, class, confidence."""
 
     track_id: int

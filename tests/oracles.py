@@ -228,9 +228,9 @@ def covariance(state):
     """The full 8x8 covariance of a ``KalmanState``, assembled from its blocks."""
     cov = np.zeros((8, 8))
     for i in range(4):
-        cov[i, i] = state.var_p[i]
-        cov[i, 4 + i] = cov[4 + i, i] = state.cov_pv[i]
-        cov[4 + i, 4 + i] = state.var_v[i]
+        cov[i, i] = getattr(state, f"p{i}")
+        cov[i, 4 + i] = cov[4 + i, i] = getattr(state, f"c{i}")
+        cov[4 + i, 4 + i] = getattr(state, f"v{i}")
     return cov
 
 
@@ -262,3 +262,74 @@ def kf8_update(mean, cov, box, ps=1.0 / 20):
     ikh = np.eye(8) - gain @ _H8
     cov = ikh @ cov @ ikh.T + gain @ meas_cov @ gain.T
     return mean, (cov + cov.T) / 2.0
+
+
+# The same filter as four 2-state blocks, one generic block update mapped over
+# them: the exact reference for mrtrack.kalman's written-out arithmetic. A
+# state is (mean, var_p, cov_pv, var_v): 8 means, then three 4-tuples.
+
+
+def kf_blocks_init(box):
+    """Block state of a filter started at a corner box, zero velocity."""
+    x1, y1, x2, y2 = box
+    h = y2 - y1
+    cx, cy, a = (x1 + x2) / 2.0, (y1 + y2) / 2.0, (x2 - x1) / h
+    p = 2 * (1.0 / 20) * h
+    v = 10.0 * p
+    va = 10.0 * 1e-2
+    return (
+        (cx, cy, a, h, 0.0, 0.0, 0.0, 0.0),
+        (p * p, p * p, 1e-2 * 1e-2, p * p),
+        (0.0, 0.0, 0.0, 0.0),
+        (v * v, v * v, va * va, v * v),
+    )
+
+
+def kf_blocks_predict(state):
+    """One constant-velocity frame, per block P' = F P F^T + diag(q_p, q_v)."""
+    mean, var_p, cov_pv, var_v = state
+    cx, cy, a, h, vcx, vcy, va, vh = mean
+    qp = 1.0 / 20 * h
+    qv = 1.0 / 160 * h
+    qp, qv = qp * qp, qv * qv
+    p0, p1, p2, p3 = var_p
+    c0, c1, c2, c3 = cov_pv
+    v0, v1, v2, v3 = var_v
+    return (
+        (cx + vcx, cy + vcy, a + va, h + vh, vcx, vcy, va, vh),
+        (p0 + 2.0 * c0 + v0 + qp, p1 + 2.0 * c1 + v1 + qp,
+         p2 + 2.0 * c2 + v2 + 1e-2 * 1e-2, p3 + 2.0 * c3 + v3 + qp),
+        (c0 + v0, c1 + v1, c2 + v2, c3 + v3),
+        (v0 + qv, v1 + qv, v2 + 1e-5 * 1e-5, v3 + qv),
+    )
+
+
+def _update_block(z, x, dx, p, c, v, r):
+    """One (position, velocity) block corrected by a measurement z of variance r:
+    the new (x, dx, var_p, cov_pv, var_v), Joseph form."""
+    total = p + r
+    kp, kv = p / total, c / total
+    innovation = z - x
+    one_kp = 1.0 - kp
+    return (
+        x + kp * innovation,
+        dx + kv * innovation,
+        one_kp * one_kp * p + kp * kp * r,
+        one_kp * (c - kv * p) + kp * kv * r,
+        v - 2.0 * kv * c + kv * kv * p + kv * kv * r,
+    )
+
+
+def kf_blocks_update(state, box):
+    """Correct the observed positions with a corner box, block by block."""
+    mean, var_p, cov_pv, var_v = state
+    x1, y1, x2, y2 = box
+    h = y2 - y1
+    z = ((x1 + x2) / 2.0, (y1 + y2) / 2.0, (x2 - x1) / h, h)
+    r_std = 1.0 / 20 * mean[3]
+    r_pos = r_std * r_std
+    meas_var = (r_pos, r_pos, 1e-1 * 1e-1, r_pos)
+    pos, vel, var_p, cov_pv, var_v = zip(
+        *map(_update_block, z, mean, mean[4:], var_p, cov_pv, var_v, meas_var)
+    )
+    return pos + vel, var_p, cov_pv, var_v

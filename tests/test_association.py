@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -45,7 +43,7 @@ class TestIouMatrix:
 def _track_at(cx, cy, a, h, track_id=0):
     """A track whose Kalman mean is (cx, cy, a, h); h <= 0 or a <= 0 is allowed."""
     t = _track(0, 0, 1, 1, track_id)
-    t.kf_state = replace(t.kf_state, mean=(cx, cy, a, h, 0.0, 0.0, 0.0, 0.0))
+    t.kf_state = t.kf_state._replace(cx=cx, cy=cy, a=a, h=h)
     return t
 
 

@@ -746,14 +746,19 @@ class TestScenarioChecks:
                       "degradation": [{"resolution": [10**100, 10**100]},
                                       {"resolution": [1, 1], "bbox_jitter_std": 0.5}]}, [],
                      "px floor (at native resolution)", id="boxes-vanish-at-the-bound"),
-        pytest.param({**_REPRO, "degradation": _level(bbox_jitter_std=1.0e150)}, [],
+        pytest.param({**_REPRO, "degradation": _level(bbox_jitter_std=1.0e100)}, [],
                      "detections at (192, 192) frame 0: box", id="jitter-past-bound"),
-        # flung out of the frame at 1e101 px a frame; every detection is dropped
+        # flung out of the frame at 1e100 px a frame; every detection is dropped
         pytest.param({**_REPRO, "native_resolution": [10**20, 10**20],
-                      "size_range": [1.0e19, 5.0e19], "speed_range": [1.0e101, 1.0e101],
+                      "size_range": [1.0e19, 5.0e19], "speed_range": [1.0e100, 1.0e100],
                       "degradation": [{"resolution": [10**20, 10**20], "drop_prob": 1.0},
                                       {"resolution": [1, 1], "drop_prob": 1.0}]}, [],
-                     "ground truth frame 1: box", id="ground-truth-past-bound"),
+                     "ground truth frame 2: box", id="ground-truth-past-bound"),
+        # past the bound, draws overflowed to inf with numpy warnings before any box check
+        pytest.param({**_REPRO, "degradation": _level(bbox_jitter_std=1.0e308)}, [],
+                     "bbox_jitter_std is over 1e+100", id="jitter-past-float-range"),
+        pytest.param({**_REPRO, "speed_range": [1.0e308, 1.0e308]}, [],
+                     "speed_range has an end over 1e+100", id="speed-past-float-range"),
     ])
     def test_rejected_before_writing(self, tmp_path, changes, extra, message):
         scenario = _write_yaml(tmp_path / "scenario.yaml", _scenario_doc(**changes))

@@ -1,14 +1,20 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrtrack.core import BBox
+from mrtrack.core import MIN_HEIGHT, BBox
 from mrtrack.kalman import kf_init, kf_predict, kf_update, state_bbox
 
-from oracles import covariance, kf8_init, kf8_predict, kf8_update
+from oracles import (
+    covariance,
+    kf8_init,
+    kf8_predict,
+    kf8_update,
+    kf_blocks_init,
+    kf_blocks_predict,
+    kf_blocks_update,
+)
 
 
 def _center(b: BBox) -> tuple[float, float]:
@@ -42,7 +48,7 @@ class TestInit:
 
 class TestPredict:
     def test_constant_velocity_step(self):
-        s = replace(kf_init(BBox(0, 0, 10, 20)), mean=(5.0, 10, 0.5, 20, 1, 0, 0, 0))
+        s = kf_init(BBox(0, 0, 10, 20))._replace(vcx=1.0)
         p = kf_predict(s)
         np.testing.assert_allclose(p.mean[:4], [6, 10, 0.5, 20])
 
@@ -164,3 +170,64 @@ class TestBlockFilterMatchesReference:
                 mean, cov = kf8_update(mean, cov, op.as_tuple())
             np.testing.assert_allclose(s.mean, mean, rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(covariance(s), cov, rtol=1e-9, atol=1e-9)
+
+
+class TestFloatState:
+    """The filter state is plain floats whatever number type the boxes hold."""
+
+    @pytest.mark.parametrize("number", [np.float64, int], ids=["numpy", "int"])
+    def test_every_field_is_a_float(self, number):
+        s = kf_init(BBox(*map(number, (10, 20, 50, 90))))
+        assert all(type(v) is float for v in s)
+        s = kf_predict(s)
+        assert all(type(v) is float for v in s)
+        s = kf_update(s, BBox(*map(number, (12, 21, 53, 92))))
+        assert all(type(v) is float for v in s)
+
+
+def _bits(values) -> list[str]:
+    """Each value's exact bit pattern: 0.0 and -0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+def _flat(state) -> tuple:
+    mean, var_p, cov_pv, var_v = state
+    return (*mean, *var_p, *cov_pv, *var_v)
+
+
+# heights down to the filter's floor, at y1 = 0 so that y2 - y1 is exact
+_low_boxes = st.builds(
+    lambda x, w, h: BBox(x, 0.0, x + w, h),
+    st.floats(-100, 600),
+    st.one_of(st.just(0.0), st.floats(0, 120)),
+    st.floats(MIN_HEIGHT, 1e-90),
+)
+_any_boxes = st.one_of(_boxes, _low_boxes)
+# coasting runs long enough for a height to pass 0 and the covariance to grow
+_long_ops = st.lists(st.one_of(st.integers(1, 200), _any_boxes), max_size=12)
+
+
+class TestWrittenOutBlocksMatchOracle:
+    """kf_init, kf_predict and kf_update against the mapped block update in
+    oracles.py, bit for bit, on plain-float and on numpy-scalar boxes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_any_boxes, _long_ops, st.booleans())
+    @example(BBox(0, 0, 0, 30), [200, BBox(5, 5, 5, 40), 1], False)
+    @example(BBox(3.5, 0.0, 3.5, MIN_HEIGHT), [BBox(10, 20, 50, 90), 150], True)
+    def test_bit_identical(self, first, ops, numpy_boxes):
+        def box(b):
+            return BBox(*map(np.float64, b.as_tuple())) if numpy_boxes else b
+
+        s = kf_init(box(first))
+        o = kf_blocks_init(box(first).as_tuple())
+        assert _bits(s) == _bits(_flat(o))
+        for op in ops:
+            if isinstance(op, int):
+                for _ in range(op):
+                    s = kf_predict(s)
+                    o = kf_blocks_predict(o)
+            else:
+                s = kf_update(s, box(op))
+                o = kf_blocks_update(o, box(op).as_tuple())
+            assert _bits(s) == _bits(_flat(o))

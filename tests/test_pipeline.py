@@ -21,6 +21,7 @@ from mrtrack.core import (
     FramePacket,
     RescoreConfig,
     TrackerConfig,
+    rescale_packet_to_native,
 )
 from mrtrack.evaluation import GroundTruthFrame
 from mrtrack.fileio import (
@@ -34,12 +35,13 @@ from mrtrack.fileio import (
 from mrtrack.pipeline import (
     ResolutionSchedule,
     TrackerState,
+    interleave,
     is_full_res,
     mean_mac,
     run_sequence,
     step,
 )
-from mrtrack.synth import profile_scenario
+from mrtrack.synth import generate, profile_scenario
 from mrtrack.tracks import TrackStatus
 
 # association thresholds of the small-CNN preset
@@ -308,6 +310,37 @@ class TestStepTracking:
         _, out1 = run_sequence(copy.deepcopy(frames), TCFG, RCFG)
         _, out2 = run_sequence(copy.deepcopy(frames), TCFG, RCFG)
         assert out1 == out2
+
+
+class TestNumpyScalarBoxes:
+    def test_same_outputs_as_the_float_copy(self):
+        # synth's boxes hold numpy scalars; a loaded file's hold plain floats
+        _, emulate = generate(profile_scenario("cnn-like", seed=11, n_objects=12, frame_count=60))
+        stream = [
+            rescale_packet_to_native(p)
+            for p in interleave(emulate((320, 320)), emulate((192, 192)), 5)
+        ]
+        floats = [
+            FramePacket(p.frame_index, p.inference_resolution, p.native_resolution, tuple(
+                Detection(BBox(*map(float, d.bbox.as_tuple())), d.class_id, float(d.conf))
+                for d in p.detections
+            ))
+            for p in stream
+        ]
+        assert type(stream[0].detections[0].bbox.x1) is not float
+        cfg = preset_config("nanodet")
+        for emit_coasted in (False, True):
+            for rescore_enabled in (False, True):
+                runs = [
+                    run_sequence(frames, cfg.tracker, cfg.rescore,
+                                 rescore_enabled=rescore_enabled, emit_coasted=emit_coasted)
+                    for frames in (stream, floats)
+                ]
+                (state, got), (float_state, want) = runs
+                assert got == want and sum(map(len, want.values())) > 0
+                assert [t.kf_state for t in state.active_tracks] == [
+                    t.kf_state for t in float_state.active_tracks
+                ]
 
 
 # Each side log-uniform over the loader's range, [MIN_HEIGHT, MAX_COORDINATE]
