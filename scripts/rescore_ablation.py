@@ -33,12 +33,13 @@ def main() -> int:
         for res in (cfg.schedule.full_res, cfg.schedule.low_res)
     )
 
-    def scored(rescore):
+    def scored(rescore, threshold):
         run_cfg = replace(cfg, rescore_enabled=rescore, emit_coasted=True)
-        return sweep_reports(full, low, {"s": gt_frames}, run_cfg, [args.P])
+        return sweep_reports(full, low, {"s": gt_frames}, run_cfg, [args.P], threshold)
 
-    thr, [(baseline, naive)] = scored(False)
-    _, [(_, rescored)] = scored(True)
+    # the rescored run reuses the baseline threshold the naive run resolved
+    thr, [(baseline, naive)] = scored(False, ("f1max", None))
+    _, [(_, rescored)] = scored(True, ("fixed", thr))
     rows = [
         ("frame-by-frame", baseline),
         ("naive tracking", naive),

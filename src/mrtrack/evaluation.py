@@ -13,10 +13,11 @@ every score reads from its table. Greedy matching in descending confidence
 makes a detection's TP flag depend only on the detections ranked above it,
 so a confidence threshold keeps a prefix of each frame's ranking and of
 each class's, with the flags it would have had if the detections below
-the threshold had been dropped before matching. ``evaluate`` scores the
-prefix at one threshold; ``f1_max_threshold`` scans a confidence grid over
-per-class prefix counts and returns the threshold maximizing mean F1 (ties
-toward the higher threshold).
+the threshold had been dropped before matching. ``class_counts`` is the
+one statement of that rule: it gives each scored class's (kept, TP,
+ground-truth) counts at each threshold of a grid. ``evaluate`` scores its
+row at one threshold; ``f1_max_threshold`` returns the grid threshold whose
+row has the highest mean F1 (ties toward the higher threshold).
 """
 
 from __future__ import annotations
@@ -73,18 +74,17 @@ def match_frame_flags(
     used = [False] * len(gts)
     flags = []
     for d in dets:
-        best, best_j = 0.0, -1
+        # starting at the gate, only an IoU above it can claim a box
+        best, best_j = IOU_GATE, -1
         for j, (gbox, gcls) in enumerate(gts):
             if used[j] or gcls != d.class_id:
                 continue
             v = iou(d.bbox, gbox)
             if v > best:
                 best, best_j = v, j
-        if best_j >= 0 and best > IOU_GATE:
+        if best_j >= 0:
             used[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+        flags.append(best_j >= 0)
     return flags
 
 
@@ -143,11 +143,35 @@ def rank_corpus(
     return Ranked(records, n_gt)
 
 
-def _class_prf(tp: int, fp: int, n_gt: int) -> tuple[float, float, float]:
-    """(precision, recall, F1) of one class from its TP, FP and GT counts."""
-    fn = n_gt - tp
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
+def class_counts(
+    ranked: Ranked, grid: Sequence[float]
+) -> list[dict[int, tuple[int, int, int]]]:
+    """Each scored class's (kept, TP, ground-truth) counts at each threshold.
+
+    A record is kept at a threshold when its confidence is >= it, so a
+    class's kept records are a prefix of its ranking, and TP counts the
+    flags of that prefix. A class is scored at a threshold when it has
+    ground truth or a kept record. Rows follow ``grid``; each lists its
+    classes in ascending order.
+    """
+    records, n_gt = ranked
+    rows: list[dict[int, tuple[int, int, int]]] = [{} for _ in grid]
+    for cls in sorted(set(records) | set(n_gt)):
+        recs = records.get(cls, [])
+        ascending = [conf for conf, _ in reversed(recs)]
+        prefix_tp = list(accumulate((f for _, f in recs), initial=0))
+        gt_count = n_gt.get(cls, 0)
+        for row, thr in zip(rows, grid):
+            kept = len(recs) - bisect_left(ascending, thr)
+            if kept or gt_count:
+                row[cls] = (kept, prefix_tp[kept], gt_count)
+    return rows
+
+
+def _class_prf(kept: int, tp: int, n_gt: int) -> tuple[float, float, float]:
+    """(precision, recall, F1) of one class from its kept, TP and GT counts."""
+    precision = tp / kept if kept else 0.0
+    recall = tp / n_gt if n_gt else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
 
@@ -159,21 +183,16 @@ def _mean(values: list[float]) -> float:
 def evaluate(ranked: Ranked, threshold: float = 0.0) -> MetricsReport:
     """Score a ranked corpus at a fixed confidence threshold.
 
-    Each class keeps its records with confidence >= ``threshold``, a prefix
-    of its ranking, and is scored when it has ground truth or a kept record.
-    AP pools each class's kept records over all frames and sequences.
+    Per-class counts are ``class_counts`` at ``threshold``; AP pools each
+    class's kept records over all frames and sequences.
     """
-    records, n_gt = ranked
+    (counts,) = class_counts(ranked, [threshold])
     per_class: dict[int, ClassMetrics] = {}
-    for cls in sorted(set(records) | set(n_gt)):
-        recs = records.get(cls, [])
-        ((kept, tp),) = grid_counts(recs, [threshold])
-        gt_count = n_gt.get(cls, 0)
-        if not (kept or gt_count):
-            continue
-        precision, recall, f1 = _class_prf(tp, kept - tp, gt_count)
+    for cls, (kept, tp, gt_count) in counts.items():
+        precision, recall, f1 = _class_prf(kept, tp, gt_count)
+        kept_flags = [f for _, f in ranked.records.get(cls, [])[:kept]]
         per_class[cls] = ClassMetrics(
-            ap=average_precision([f for _, f in recs[:kept]], gt_count),
+            ap=average_precision(kept_flags, gt_count),
             precision=precision,
             recall=recall,
             f1=f1,
@@ -192,37 +211,16 @@ def evaluate(ranked: Ranked, threshold: float = 0.0) -> MetricsReport:
     )
 
 
-def grid_counts(
-    records: Sequence[tuple[float, bool]], grid: Sequence[float]
-) -> list[tuple[int, int]]:
-    """(kept, TP) counts of ranked records at each grid threshold.
-
-    ``records`` are (conf, TP flag) in descending confidence; a record is
-    kept at a threshold when its confidence is >= it, so the kept records
-    are a prefix of the ranking.
-    """
-    ascending = [r[0] for r in reversed(records)]
-    prefix_tp = list(accumulate((r[1] for r in records), initial=0))
-    return [
-        (kept, prefix_tp[kept])
-        for kept in (len(records) - bisect_left(ascending, thr) for thr in grid)
-    ]
-
-
 def f1_max_threshold(ranked: Ranked, grid_step: float = 0.01) -> float:
     """Confidence threshold maximizing mean F1 over a regular grid.
 
     The grid is {0, step, 2*step, ...} below 1 - epsilon, plus 1 - epsilon
-    itself; ties are broken toward the higher threshold. ``evaluate`` at the
-    returned threshold gives that mean F1.
-
-    A class's kept and TP counts at each grid point are prefix counts of
-    its ranked records, as in ``evaluate``.
+    itself; ties are broken toward the higher threshold. The mean F1 at
+    each grid point is ``evaluate``'s, from the same ``class_counts`` rows.
     """
     if not 0.0 < grid_step <= 0.5:
         raise ValueError(f"grid_step out of (0, 0.5]: {grid_step}")
-    records, n_gt = ranked
-    if not n_gt:
+    if not ranked.n_gt:
         raise ValueError("empty ground truth: F1 sweep undefined")
 
     top = 1.0 - DEFAULT_EPSILON
@@ -235,18 +233,8 @@ def f1_max_threshold(ranked: Ranked, grid_step: float = 0.01) -> float:
         k += 1
     grid.append(top)
 
-    counts = {cls: grid_counts(recs, grid) for cls, recs in records.items()}
-
-    classes = sorted(set(records) | set(n_gt))
-    best_thr, best_f1 = grid[0], -1.0
-    for i, thr in enumerate(grid):
-        # the per-class F1 values and their mean are computed as in evaluate
-        f1s = []
-        for cls in classes:
-            kept_i, tp = counts[cls][i] if cls in counts else (0, 0)
-            if kept_i or cls in n_gt:
-                f1s.append(_class_prf(tp, kept_i - tp, n_gt.get(cls, 0))[2])
-        mean_f1 = _mean(f1s)
-        if mean_f1 >= best_f1:
-            best_thr, best_f1 = thr, mean_f1
-    return best_thr
+    f1 = [
+        _mean([_class_prf(*counts)[2] for counts in row.values()])
+        for row in class_counts(ranked, grid)
+    ]
+    return grid[max(range(len(grid)), key=lambda i: (f1[i], i))]

@@ -12,7 +12,7 @@ regardless of query order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
@@ -267,26 +267,19 @@ def profile_scenario(
     seed: int = 7,
     n_objects: int = 4,
     frame_count: int = 120,
-    native_resolution: Resolution = (320, 320),
-    low_resolution: Resolution = (192, 192),
-    **overrides,
 ) -> SynthScenario:
-    """Preset scenario with the named degradation profile."""
+    """Preset scenario with the named degradation profile, 320x320 native
+    and 192x192 low resolution."""
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}; have {sorted(_PROFILES)}")
     full_kw, low_kw = _PROFILES[profile]
-    low_kw = dict(low_kw)
-    for f in fields(DegradationLevel):
-        if f.name in overrides:
-            low_kw[f.name] = overrides.pop(f.name)
     return SynthScenario(
         seed=seed,
         n_objects=n_objects,
         frame_count=frame_count,
-        native_resolution=native_resolution,
+        native_resolution=(320, 320),
         degradation=(
-            DegradationLevel(resolution=native_resolution, **full_kw),
-            DegradationLevel(resolution=low_resolution, **low_kw),
+            DegradationLevel(resolution=(320, 320), **full_kw),
+            DegradationLevel(resolution=(192, 192), **low_kw),
         ),
-        **overrides,
     )

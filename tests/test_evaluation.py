@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from mrtrack import evaluation
 from mrtrack.core import BBox, Detection
 from mrtrack.evaluation import (
+    Ranked,
     average_precision,
+    class_counts,
     evaluate,
     f1_max_threshold,
     match_frame_flags,
@@ -15,6 +17,7 @@ from mrtrack.evaluation import (
 
 from oracles import (
     average_precision_oracle, evaluate_oracle, f1_sweep_oracle, grid_counts_oracle,
+    match_flags_oracle,
 )
 
 
@@ -24,6 +27,18 @@ def _det(x, y, size=10, cls=0, conf=0.9):
 
 def _gt(x, y, size=10, cls=0):
     return (BBox(x, y, x + size, y + size), cls)
+
+
+def _rect(x1, y1, w, h):
+    return BBox(x1, y1, x1 + w, y1 + h)
+
+
+# corners on a 5-px lattice with sides 5..20: the drawn pairs include equal
+# IoUs with two ground-truth boxes, touching boxes (zero-width intersection)
+# and IoU exactly 0.5 (10x20 over 10x10)
+_RECTS = st.builds(_rect, *[st.sampled_from([0, 5, 10])] * 2,
+                   *[st.sampled_from([5, 10, 15, 20])] * 2)
+_CLASSES = st.sampled_from([0, 1])
 
 
 def _frame_counts(dets, gts):
@@ -58,6 +73,25 @@ class TestMatchFrame:
         # the first detection claims the box although the second overlaps it exactly
         dets = [_det(1, 1, conf=0.9), _det(0, 0, conf=0.8)]
         assert match_frame_flags(dets, [_gt(0, 0)]) == [True, False]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.builds(Detection, _RECTS, _CLASSES, st.just(0.9)), max_size=6),
+        st.lists(st.tuples(_RECTS, _CLASSES), max_size=6),
+    )
+    # equal IoUs (100/150) with both boxes: the first detection claims the
+    # first box, so the second detection still finds its own box free
+    @example([Detection(_rect(0, 0, 10, 15), 0, 0.9), Detection(_rect(0, 5, 10, 10), 0, 0.9)],
+             [(_rect(0, 0, 10, 10), 0), (_rect(0, 5, 10, 10), 0)])
+    # the same box in another class is no match
+    @example([Detection(_rect(0, 0, 10, 10), 1, 0.9)], [(_rect(0, 0, 10, 10), 0)])
+    # touching boxes: zero-width intersection, IoU 0
+    @example([Detection(_rect(0, 0, 10, 10), 0, 0.9)], [(_rect(10, 0, 10, 10), 0)])
+    # IoU exactly 0.5 claims nothing, so the next detection takes the box
+    @example([Detection(_rect(0, 0, 10, 20), 0, 0.9), Detection(_rect(0, 0, 10, 10), 0, 0.9)],
+             [(_rect(0, 0, 10, 10), 0)])
+    def test_equals_scalar_oracle(self, dets, gts):
+        assert match_frame_flags(dets, gts) == match_flags_oracle(dets, gts)
 
 
 class TestAveragePrecision:
@@ -307,13 +341,18 @@ class TestSinglePassSweep:
             st.one_of(st.sampled_from(_TIED_CONFS), st.floats(0.0, 1.0)), st.booleans()
         ), max_size=30),
         st.sampled_from([0.01, 0.05, 0.1, 0.5]),
+        st.integers(0, 3),
     )
     # 0.7 is the grid point 14 * 0.05, and a record exactly on it is kept there
-    @example([(0.7, True), (0.7, False), (0.65, True)], 0.05)
-    def test_grid_counts_equal_searchsorted_oracle(self, records, step):
+    @example([(0.7, True), (0.7, False), (0.65, True)], 0.05, 0)
+    def test_grid_counts_equal_searchsorted_oracle(self, records, step, n_gt):
+        # one class's rows: its oracle counts where it is scored (ground
+        # truth or a kept record), absent elsewhere
         records.sort(key=lambda r: -r[0])
         grid = _grid(step)
-        assert evaluation.grid_counts(records, grid) == grid_counts_oracle(records, grid)
+        want = [{0: (kept, tp, n_gt)} if kept or n_gt else {}
+                for kept, tp in grid_counts_oracle(records, grid)]
+        assert class_counts(Ranked({0: records}, {0: n_gt} if n_gt else {}), grid) == want
 
     def test_matches_each_frame_at_most_once(self, monkeypatch):
         # the scan ranks every frame once; no report is built

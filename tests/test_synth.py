@@ -173,7 +173,3 @@ class TestProfiles:
     def test_unknown_profile(self):
         with pytest.raises(ValueError):
             profile_scenario("mystery")
-
-    def test_low_res_override(self):
-        sc = profile_scenario("cnn-like", seed=5, class_flip_prob=0.15)
-        assert sc.level_for(LOW).class_flip_prob == pytest.approx(0.15)
