@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import MAX_COORDINATE, BBox, FramePacket, Resolution, rescale_packet_to_native
+from .core import FramePacket, rescale_packet_to_native
 from .evaluation import (
     GroundTruthFrame, MetricsReport, Ranked, evaluate, f1_max_threshold, rank_corpus,
 )
@@ -19,14 +19,12 @@ from .fileio import (
     PRESET_NAMES,
     RunConfig,
     ValidationError,
-    check_detection_box,
     is_track_file,
     load_detection_file,
     load_groundtruth_file,
     load_run_config,
     load_scenario,
     load_track_file,
-    out_of_bounds,
     render_report,
     report_to_dict,
     save_detection_file,
@@ -73,11 +71,9 @@ def _parse_threshold(spec: str) -> tuple[str, float | None]:
     )
 
 
-def _parse_int_list(spec: str, item=int) -> list[int]:
-    try:
-        values = [item(v) for v in spec.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints: {spec!r}")
+def _parse_int_list(spec: str, item) -> list[int]:
+    """Comma-separated values, each parsed by ``item``, a ``_ranged`` type."""
+    values = [item(v) for v in spec.split(",") if v.strip() != ""]
     if not values:
         raise argparse.ArgumentTypeError("empty list")
     return values
@@ -331,40 +327,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _check_generated(
-    scenario: str,
-    gt_frames: list[GroundTruthFrame],
-    levels: dict[Resolution, list[FramePacket]],
-) -> None:
-    """Every generated box passes the checks of the loader that reads it: the
-    bound of every box parser and, for a detection, ``check_detection_box``.
-    A ValidationError names the scenario file."""
-
-    def check(box, frame: int, inference=None, native=None) -> None:
-        # plain floats, as a loaded file's, so a message prints plain numbers
-        box = BBox(*map(float, box.as_tuple()))
-        try:
-            if out_of_bounds(box):
-                raise ValidationError(
-                    f"box {box.as_tuple()} has a coordinate over {MAX_COORDINATE:g}"
-                )
-            if inference is not None:
-                check_detection_box(box, inference, native)
-        except ValidationError as exc:
-            where = "ground truth" if inference is None else f"detections at {inference}"
-            raise ValidationError(
-                f"{scenario}: invalid scenario: {where} frame {frame}: {exc}"
-            ) from None
-
-    for g in gt_frames:
-        for box, _ in g.objects:
-            check(box, g.frame_index)
-    for res, packets in levels.items():
-        for p in packets:
-            for det in p.detections:
-                check(det.bbox, p.frame_index, res, p.native_resolution)
-
-
 def _check_names(out_dir: Path, names) -> None:
     """An OSError for a name past the file system's limit, before ``out_dir``
     or anything in it is created."""
@@ -384,9 +346,11 @@ def cmd_synth(args) -> int:
         raise ValidationError(
             "interleaved output needs at least two configured resolutions"
         )
-    gt_frames, emulate = generate(sc)
-    levels = {lv.resolution: emulate(lv.resolution) for lv in sc.degradation}
-    _check_generated(args.scenario, gt_frames, levels)
+    try:
+        gt_frames, emulate = generate(sc)
+        levels = {lv.resolution: emulate(lv.resolution) for lv in sc.degradation}
+    except ValueError as exc:  # a box no loader would take
+        raise ValidationError(f"{args.scenario}: invalid scenario: {exc}") from None
     # file name -> (saver, frames), in the order they are written and listed
     outputs = {"gt.jsonl": (save_groundtruth_file, gt_frames)}
     for (w, h), packets in levels.items():

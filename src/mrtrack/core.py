@@ -8,6 +8,10 @@ normalized to the native (full) resolution before association, via
 
 The motion filter works in center/aspect-ratio/height space; the
 conversion helpers between the two parameterizations live here.
+
+So does the rule for which box a file may hold, ``out_of_bounds`` and
+``check_detection_box``: the detection loader and ``synth.generate`` both
+apply it.
 """
 
 from __future__ import annotations
@@ -181,6 +185,36 @@ def rescale_packet_to_native(packet: FramePacket) -> FramePacket:
         for d in packet.detections
     )
     return FramePacket(packet.frame_index, res, native, dets)
+
+
+def out_of_bounds(box: BBox) -> bool:
+    """Whether a coordinate's magnitude is over ``MAX_COORDINATE``, which
+    every loader rejects."""
+    return max(map(abs, box.as_tuple())) > MAX_COORDINATE
+
+
+def check_detection_box(bbox: BBox, inference: Resolution, native: Resolution) -> None:
+    """The detection loader's checks on a box at its ``inference`` resolution
+    past the parser's bound: a ValueError if rescaling it to ``native``
+    resolution overflows or takes a coordinate over ``MAX_COORDINATE``, or
+    if the native box is outside the motion filter's domain
+    (``bbox_to_cxcyah``: a height under ``MIN_HEIGHT``)."""
+    # as rescale_packet_to_native will: no rescale when the resolutions match
+    try:
+        native_box = bbox if inference == native else rescale_bbox(bbox, inference, native)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(
+            f"box {bbox.as_tuple()} does not rescale to native resolution: {exc}"
+        ) from None
+    if out_of_bounds(native_box):
+        raise ValueError(
+            f"box {bbox.as_tuple()} at native resolution has a coordinate "
+            f"over {MAX_COORDINATE:g}"
+        )
+    try:
+        bbox_to_cxcyah(native_box)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (at native resolution)") from None
 
 
 def bbox_to_cxcyah(b: BBox) -> tuple[float, float, float, float]:

@@ -5,7 +5,8 @@ per frame, read and written by one record codec: the three formats differ
 only in their header fields, their entries key and their entry parsers.
 Detection coordinates on disk live in the tagged inference resolution, and
 loading keeps them (the CLI converts each loaded file once, in
-``cli._load_native``); it clamps confidences to [0, 1 - epsilon].
+``cli._load_native``); it clamps confidences to [0, 1 - epsilon], and checks
+each box with ``core.check_detection_box``, as ``synth.generate`` does.
 Run configuration and synthetic scenarios are YAML documents, read by the
 field types of the dataclasses they fill; a run configuration can inherit
 a preset.
@@ -28,9 +29,9 @@ from .core import (
     RescoreConfig,
     Resolution,
     TrackerConfig,
-    bbox_to_cxcyah,
+    check_detection_box,
     clamp_conf,
-    rescale_bbox,
+    out_of_bounds,
 )
 from .evaluation import GroundTruthFrame, MetricsReport
 from .pipeline import ResolutionSchedule
@@ -86,12 +87,6 @@ def _resolution(value, what: str) -> Resolution:
     return (value[0], value[1])
 
 
-def out_of_bounds(box: BBox) -> bool:
-    """Whether a coordinate's magnitude is over ``MAX_COORDINATE``, which
-    every loader rejects."""
-    return max(map(abs, box.as_tuple())) > MAX_COORDINATE
-
-
 def _bbox(value) -> BBox:
     try:
         if type(value) is not list or len(value) != 4:
@@ -136,8 +131,8 @@ def _read_records(
 
     ``parse_entry`` gets each entry and its record's header resolutions.
     Structure and field errors raise FileFormatError; frames not strictly
-    increasing within a sequence raise ValidationError, as does whatever
-    ``parse_entry`` raises as one.
+    increasing within a sequence raise ValidationError, as does a
+    ValueError from ``parse_entry`` (a box past ``core``'s checks).
     """
     sequences: _Records = {}
     # bytes in, so json.loads decodes each line and a bad byte names its line
@@ -163,6 +158,8 @@ def _read_records(
                     )
             except (FileFormatError, ValidationError) as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from None
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
             rows.append((frame, header, parsed))
     return sequences
 
@@ -200,35 +197,11 @@ def _box_list(b: BBox) -> list[float]:
     return [float(v) for v in b.as_tuple()]
 
 
-def check_detection_box(bbox: BBox, inference: Resolution, native: Resolution) -> None:
-    """The detection loader's checks on a box at its ``inference`` resolution
-    past the parser's bound: a ValidationError if rescaling it to ``native``
-    resolution overflows or takes a coordinate over ``MAX_COORDINATE``, or
-    if the native box is outside the motion filter's domain
-    (``core.bbox_to_cxcyah``: a height under ``MIN_HEIGHT``)."""
-    # as rescale_packet_to_native will: no rescale when the resolutions match
-    try:
-        native_box = bbox if inference == native else rescale_bbox(bbox, inference, native)
-    except (OverflowError, ValueError) as exc:
-        raise ValidationError(
-            f"box {bbox.as_tuple()} does not rescale to native resolution: {exc}"
-        ) from None
-    if out_of_bounds(native_box):
-        raise ValidationError(
-            f"box {bbox.as_tuple()} at native resolution has a coordinate "
-            f"over {MAX_COORDINATE:g}"
-        )
-    try:
-        bbox_to_cxcyah(native_box)
-    except ValueError as exc:
-        raise ValidationError(f"{exc} (at native resolution)") from None
-
-
 def load_detection_file(path: str | Path) -> dict[str, list[FramePacket]]:
     """Parse a detection file into per-sequence frame packets.
 
     Confidences are clamped to [0, 1 - epsilon], and each box passes
-    ``check_detection_box``.
+    ``core.check_detection_box``.
     """
 
     def entry(e: dict, header: tuple[Resolution, Resolution]) -> Detection:

@@ -6,7 +6,9 @@ the ground truth at a requested inference resolution, applying the
 resolution's configured degradations: dropped detections, class flips,
 confidence noise, and box jitter. Every draw is keyed on
 (seed, frame, resolution), so identical queries are bit-identical
-regardless of query order.
+regardless of query order. Each box is checked as it is built against the
+loaders' rule (``core.out_of_bounds``, and ``core.check_detection_box`` for
+a detection), so every corpus generated loads.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
-    MAX_COORDINATE, BBox, Detection, FramePacket, Resolution, clamp_conf, rescale_bbox,
+    MAX_COORDINATE, BBox, Detection, FramePacket, Resolution, check_detection_box,
+    clamp_conf, out_of_bounds, rescale_bbox,
 )
 from .evaluation import GroundTruthFrame
 
@@ -180,13 +183,31 @@ def _build_trajectories(sc: SynthScenario) -> list[_Trajectory]:
     return trajectories
 
 
+def _check_loadable(box: BBox, frame: int, inference, native) -> None:
+    """A ValueError naming the frame unless ``box`` passes the checks of the
+    loader that reads it: the bound of every box parser and, for a detection
+    (``inference`` is not None), ``check_detection_box``."""
+    # plain floats, as a loaded file's, so a message prints plain numbers
+    box = BBox(*map(float, box.as_tuple()))
+    try:
+        if out_of_bounds(box):
+            raise ValueError(f"box {box.as_tuple()} has a coordinate over {MAX_COORDINATE:g}")
+        if inference is not None:
+            check_detection_box(box, inference, native)
+    except ValueError as exc:
+        where = "ground truth" if inference is None else f"detections at {inference}"
+        raise ValueError(f"{where} frame {frame}: {exc}") from None
+
+
 def generate(
     sc: SynthScenario,
 ) -> tuple[list[GroundTruthFrame], Callable[[Resolution], list[FramePacket]]]:
     """Ground-truth frames plus a per-resolution detector emulator.
 
     The emulator maps an inference resolution to the full packet sequence
-    at that resolution, detections in inference-space coordinates.
+    at that resolution, detections in inference-space coordinates. A box
+    that no loader would take is a ValueError, from ``generate`` for the
+    ground truth and from the emulator for a detection.
     """
     import numpy as np
 
@@ -198,6 +219,9 @@ def generate(
         )
         for t in range(sc.frame_count)
     ]
+    for g in gt_frames:
+        for box, _ in g.objects:
+            _check_loadable(box, g.frame_index, None, None)
 
     def emulate(resolution: Resolution) -> list[FramePacket]:
         level = sc.level_for(resolution)
@@ -229,6 +253,7 @@ def generate(
                 conf = clamp_conf(
                     traj.base_conf + conf_noise * level.conf_noise_std
                 )
+                _check_loadable(box, t, resolution, sc.native_resolution)
                 dets.append(Detection(box, class_id, conf))
             packets.append(
                 FramePacket(

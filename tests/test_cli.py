@@ -367,7 +367,7 @@ class TestSweepCommand:
         scenario = tmp_path / "scenario.yaml"
         save_scenario(scenario, profile_scenario("cnn-like", seed=5, frame_count=40))
         corpus_dir = tmp_path / "corpus"
-        main(["synth", str(scenario), "--out", str(corpus_dir)])
+        main(["synth", str(scenario), "--out", str(corpus_dir), "--P", "1"])
         capsys.readouterr()
 
         full = corpus_dir / "detections_320x320.jsonl"
@@ -379,7 +379,7 @@ class TestSweepCommand:
              "--P-values", "0,1", "--out", str(rows_path)]
         )
         assert rc == EXIT_OK
-        capsys.readouterr()
+        sweep_out = capsys.readouterr().out
         rows = [json.loads(line) for line in rows_path.read_text().splitlines()]
         base0 = next(r for r in rows if r["P"] == 0 and r["method"] == "baseline")
 
@@ -388,6 +388,29 @@ class TestSweepCommand:
         doc = json.loads(report.read_text())
         assert base0["map"] == pytest.approx(doc["map"], abs=1e-12)
         assert base0["f1"] == pytest.approx(doc["mean_f1"], abs=1e-12)
+
+        # every other row is track + eval of the same interleaved stream, exactly
+        thr = doc["threshold"]  # the full-res F1-max threshold sweep resolves
+        assert f"baseline threshold: {thr:.4f}" in sweep_out
+
+        def scores(pred, threshold) -> dict:
+            assert main(["eval", str(pred), str(gt), "--threshold", threshold,
+                         "--out", str(report)]) == EXIT_OK
+            d = json.loads(report.read_text())
+            return {"map": d["map"], "precision": d["mean_precision"],
+                    "recall": d["mean_recall"], "f1": d["mean_f1"]}
+
+        def row(P, method) -> dict:
+            r = next(r for r in rows if r["P"] == P and r["method"] == method)
+            return {k: r[k] for k in ("map", "precision", "recall", "f1")}
+
+        streams = {0: full, 1: corpus_dir / "detections_P1.jsonl"}
+        for P, stream in streams.items():
+            tracks = tmp_path / f"tracks_P{P}.jsonl"
+            assert main(["track", str(stream), "--preset", "nanodet", "--P", str(P),
+                         "--out", str(tracks)]) == EXIT_OK
+            assert row(P, "tracked") == scores(tracks, "fixed:0.0")
+        assert row(1, "baseline") == scores(streams[1], f"fixed:{thr!r}")
 
     def test_mac_column_reproduces_cost_model(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.yaml"
@@ -545,9 +568,12 @@ class TestArgumentChecks:
             ["eval", "p.jsonl", "g.jsonl", "--threshold", "fixed:nan"],
             ["attn-check", "--tol", "nan"],
             ["attn-check", "--tol", "-1"],
+            ["sweep", "f.jsonl", "l.jsonl", "g.jsonl", "--P-values", "1,x"],
+            ["attn-check", "--n-values", "1,x"],
         ],
         ids=["track-P", "synth-P", "sweep-P-values", "grid-step-0", "grid-step-nan",
-             "threshold-nan", "tol-nan", "tol-negative"],
+             "threshold-nan", "tol-nan", "tol-negative", "sweep-P-values-not-int",
+             "n-values-not-int"],
     )
     def test_rejected_at_parse_time(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

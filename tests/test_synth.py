@@ -160,6 +160,37 @@ class TestEmulator:
         assert all(0.0 <= c <= 1 - 1e-4 for c in confs)
 
 
+class TestLoadableBoxes:
+    """``generate`` keeps the loaders' box rule itself, with no CLI: the
+    scenarios of the CLI's ground-truth-past-bound and jitter-past-bound rows."""
+
+    def test_ground_truth_past_the_bound(self):
+        # flung out of the frame at 1e100 px a frame; every detection is dropped
+        native = (10**20, 10**20)
+        sc = SynthScenario(
+            seed=1, n_objects=2, frame_count=3, native_resolution=native,
+            size_range=(1.0e19, 5.0e19), speed_range=(1.0e100, 1.0e100),
+            degradation=(
+                DegradationLevel(resolution=native, drop_prob=1.0),
+                DegradationLevel(resolution=(1, 1), drop_prob=1.0),
+            ),
+        )
+        with pytest.raises(ValueError, match="ground truth frame 2: box"):
+            generate(sc)
+
+    def test_detection_jitter_past_the_bound(self):
+        sc = SynthScenario(
+            seed=1, n_objects=2, frame_count=3, native_resolution=FULL,
+            degradation=(
+                DegradationLevel(resolution=FULL),
+                DegradationLevel(resolution=LOW, bbox_jitter_std=1.0e100),
+            ),
+        )
+        _, emulate = generate(sc)
+        with pytest.raises(ValueError, match=r"detections at \(192, 192\) frame 0: box"):
+            emulate(LOW)
+
+
 class TestProfiles:
     def test_cnn_like_profile(self):
         sc = profile_scenario("cnn-like", seed=5)
