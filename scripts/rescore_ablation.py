@@ -9,10 +9,9 @@ three-row comparison at a fixed interleave factor.
 
 import argparse
 import sys
-from dataclasses import replace
 
-from mrtrack.cli import sweep_reports
-from mrtrack.core import rescale_packet_to_native
+from mrtrack.cli import sweep_reports, tracked_reports
+from mrtrack.core import rescale_packet_to_native, replace
 from mrtrack.fileio import preset_config
 from mrtrack.synth import generate, profile_scenario
 
@@ -33,13 +32,12 @@ def main() -> int:
         for res in (cfg.schedule.full_res, cfg.schedule.low_res)
     )
 
-    def scored(rescore, threshold):
-        run_cfg = replace(cfg, rescore_enabled=rescore, emit_coasted=True)
-        return sweep_reports(full, low, {"s": gt_frames}, run_cfg, [args.P], threshold)
-
-    # the rescored run reuses the baseline threshold the naive run resolved
-    thr, [(baseline, naive)] = scored(False, ("f1max", None))
-    _, [(_, rescored)] = scored(True, ("fixed", thr))
+    gt = {"s": gt_frames}
+    naive_cfg, rescored_cfg = (
+        replace(cfg, rescore_enabled=rescore, emit_coasted=True) for rescore in (False, True)
+    )
+    thr, [(baseline, naive)] = sweep_reports(full, low, gt, naive_cfg, [args.P])
+    [rescored] = tracked_reports(full, low, gt, rescored_cfg, [args.P])
     rows = [
         ("frame-by-frame", baseline),
         ("naive tracking", naive),

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import Detection
 from .tracks import Track
@@ -14,8 +13,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """Partition of detection and tracker indices into matches and leftovers."""
 
     matches: tuple[tuple[int, int], ...]
@@ -39,7 +37,7 @@ def iou_matrix(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarray
     if not dets or not tracks:
         # the second pass often has nothing on one side; skip the array set-up
         return np.zeros((len(dets), len(tracks)))
-    d = np.array([det.bbox.as_tuple() for det in dets])
+    d = np.array([det.bbox for det in dets])
     cx, cy, a, h = np.array([t.kf_state[:4] for t in tracks]).T
     h = np.maximum(h, 0.0)
     w = np.maximum(a, 0.0) * h

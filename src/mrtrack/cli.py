@@ -6,11 +6,10 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import FramePacket, rescale_packet_to_native
+from .core import FramePacket, replace, rescale_packet_to_native
 from .evaluation import (
     GroundTruthFrame, MetricsReport, Ranked, evaluate, f1_max_threshold, rank_corpus,
 )
@@ -32,7 +31,6 @@ from .fileio import (
     save_track_file,
 )
 from .pipeline import interleave, is_full_res, mean_mac, run_sequence
-from .synth import generate
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -259,7 +257,7 @@ def sweep_reports(
     The baseline threshold (``--threshold`` as parsed) is resolved once, from
     the full-resolution detections. Returns it with a (baseline, tracked)
     report pair per P: the interleaved detections at that threshold, and
-    the outputs of ``cfg``'s tracker with its schedule at P, at threshold 0.
+    ``tracked_reports``'s report.
     """
     # equal lengths and both contiguous: the two files share every frame index
     _check_streams(full, low)
@@ -269,15 +267,36 @@ def sweep_reports(
     if kind == "f1max":
         thr = _f1max_threshold(rank_corpus(_dets_for_eval(full), gts), grid_step, gt_path)
 
+    baselines = [
+        evaluate(rank_corpus(_dets_for_eval(_interleave(full, low, P)), gts), thr)
+        for P in P_values
+    ]
+    return thr, list(zip(baselines, tracked_reports(full, low, gt_sequences, cfg, P_values)))
+
+
+def tracked_reports(
+    full: dict[str, list[FramePacket]],
+    low: dict[str, list[FramePacket]],
+    gt_sequences: dict[str, list[GroundTruthFrame]],
+    cfg: RunConfig,
+    P_values: Sequence[int],
+) -> list[MetricsReport]:
+    """Per P, the report at threshold 0 of the outputs of ``cfg``'s tracker,
+    with its schedule at P, on the stream interleaved from ``full`` and
+    ``low``: native-coordinate packets of the same frames, as
+    ``sweep_reports`` checks them."""
+    gts = _gt_for_eval(gt_sequences)
     reports = []
     for P in P_values:
-        streams = {seq: interleave(full[seq], low[seq], P) for seq in sorted(full)}
-        baseline = evaluate(rank_corpus(_dets_for_eval(streams), gts), thr)
-        tracked, _, _ = _track_sequences(
-            streams, replace(cfg, schedule=replace(cfg.schedule, P=P))
-        )
-        reports.append((baseline, evaluate(rank_corpus(_tracks_for_eval(tracked), gts))))
-    return thr, reports
+        cfg_P = replace(cfg, schedule=replace(cfg.schedule, P=P))
+        tracked, _, _ = _track_sequences(_interleave(full, low, P), cfg_P)
+        reports.append(evaluate(rank_corpus(_tracks_for_eval(tracked), gts)))
+    return reports
+
+
+def _interleave(full, low, P: int) -> dict[str, list[FramePacket]]:
+    """Each sequence's ``interleave`` at P."""
+    return {seq: interleave(full[seq], low[seq], P) for seq in sorted(full)}
 
 
 def cmd_sweep(args) -> int:
@@ -341,6 +360,8 @@ def _check_names(out_dir: Path, names) -> None:
 
 
 def cmd_synth(args) -> int:
+    from .synth import generate  # here: no other command needs the emulator
+
     sc = load_scenario(args.scenario, seed=args.seed)
     if args.P is not None and len(sc.degradation) < 2:
         raise ValidationError(

@@ -12,13 +12,19 @@ conversion helpers between the two parameterizations live here.
 So does the rule for which box a file may hold, ``out_of_bounds`` and
 ``check_detection_box``: the detection loader and ``synth.generate`` both
 apply it.
+
+Records are NamedTuples, so no command pays for dataclass machinery at
+start-up. A record with checks is a slotted subclass of its NamedTuple
+whose ``__new__`` runs them and then builds the tuple with
+``tuple.__new__``. ``_replace`` and ``_make`` build without the checks, so
+code makes a changed record with the constructor.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Resolution = tuple[int, int]
 
@@ -34,29 +40,33 @@ MIN_HEIGHT = 1.0 / MAX_COORDINATE
 _FLOAT_MAX = sys.float_info.max
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box with x1 <= x2, y1 <= y2 and finite coordinates."""
+# builds a record from one tuple of its values, after its constructor's checks
+_record = tuple.__new__
 
+
+class _BBox(NamedTuple):
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self) -> None:
+
+class BBox(_BBox):
+    """Axis-aligned box with x1 <= x2, y1 <= y2 and finite coordinates."""
+
+    __slots__ = ()
+
+    def __new__(cls, x1: float, y1: float, x2: float, y2: float) -> BBox:
         # one chain holds only for ordered corners within the float range,
         # where the checks below all pass; anything else takes those checks
-        if -_FLOAT_MAX <= self.x1 <= self.x2 <= _FLOAT_MAX and (
-            -_FLOAT_MAX <= self.y1 <= self.y2 <= _FLOAT_MAX
-        ):
-            return
-        for v in (self.x1, self.y1, self.x2, self.y2):
+        if -_FLOAT_MAX <= x1 <= x2 <= _FLOAT_MAX and -_FLOAT_MAX <= y1 <= y2 <= _FLOAT_MAX:
+            return _record(cls, (x1, y1, x2, y2))
+        for v in (x1, y1, x2, y2):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite box coordinate: {v!r}")
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise ValueError(
-                f"inverted box: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
+        if x2 < x1 or y2 < y1:
+            raise ValueError(f"inverted box: ({x1}, {y1}, {x2}, {y2})")
+        return _record(cls, (x1, y1, x2, y2))
 
     @property
     def width(self) -> float:
@@ -71,11 +81,16 @@ class BBox:
         return self.width * self.height
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class Detection:
+class _Detection(NamedTuple):
+    bbox: BBox
+    class_id: int
+    conf: float
+
+
+class Detection(_Detection):
     """One detector output: box, class index, confidence.
 
     On-disk confidences may be anywhere in [0, 1]; ingestion clamps them to
@@ -83,69 +98,101 @@ class Detection:
     divides by zero.
     """
 
-    bbox: BBox
-    class_id: int
-    conf: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.class_id < 0:
-            raise ValueError(f"negative class id: {self.class_id}")
-        if not math.isfinite(self.conf) or not 0.0 <= self.conf <= 1.0:
-            raise ValueError(f"confidence out of [0, 1]: {self.conf!r}")
+    def __new__(cls, bbox: BBox, class_id: int, conf: float) -> Detection:
+        if class_id < 0:
+            raise ValueError(f"negative class id: {class_id}")
+        if not math.isfinite(conf) or not 0.0 <= conf <= 1.0:
+            raise ValueError(f"confidence out of [0, 1]: {conf!r}")
+        return _record(cls, (bbox, class_id, conf))
 
 
-@dataclass(frozen=True)
-class FramePacket:
+class _FramePacket(NamedTuple):
+    frame_index: int
+    inference_resolution: Resolution
+    native_resolution: Resolution
+    detections: tuple[Detection, ...] = ()
+
+
+class FramePacket(_FramePacket):
     """All detections of one frame, tagged with the inference resolution.
 
     Coordinates are in ``inference_resolution`` space until the CLI converts
     each loaded packet, once, with ``rescale_packet_to_native`` (tag kept).
     """
 
-    frame_index: int
-    inference_resolution: Resolution
-    native_resolution: Resolution
-    detections: tuple[Detection, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.frame_index < 0:
-            raise ValueError(f"negative frame index: {self.frame_index}")
-        for res in (self.inference_resolution, self.native_resolution):
+    def __new__(
+        cls,
+        frame_index: int,
+        inference_resolution: Resolution,
+        native_resolution: Resolution,
+        detections: tuple[Detection, ...] = (),
+    ) -> FramePacket:
+        if frame_index < 0:
+            raise ValueError(f"negative frame index: {frame_index}")
+        for res in (inference_resolution, native_resolution):
             if res[0] <= 0 or res[1] <= 0:
                 raise ValueError(f"non-positive resolution: {res}")
+        return _record(
+            cls, (frame_index, inference_resolution, native_resolution, detections)
+        )
 
 
-@dataclass(frozen=True)
-class TrackerConfig:
-    """Association and lifecycle thresholds for the two-pass tracker."""
-
+class _TrackerConfig(NamedTuple):
     high_threshold: float
     low_threshold: float
     tau_iou: float = 0.3
     tau_init: int = 2
     tau_dead: int = 5
 
-    def __post_init__(self) -> None:
-        if not self.low_threshold < self.high_threshold:
+
+class TrackerConfig(_TrackerConfig):
+    """Association and lifecycle thresholds for the two-pass tracker."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        high_threshold: float,
+        low_threshold: float,
+        tau_iou: float = 0.3,
+        tau_init: int = 2,
+        tau_dead: int = 5,
+    ) -> TrackerConfig:
+        if not low_threshold < high_threshold:
             raise ValueError(
-                f"low_threshold {self.low_threshold} must be below "
-                f"high_threshold {self.high_threshold}"
+                f"low_threshold {low_threshold} must be below "
+                f"high_threshold {high_threshold}"
             )
-        if not 0.0 < self.tau_iou < 1.0:
-            raise ValueError(f"tau_iou out of (0, 1): {self.tau_iou}")
-        if self.tau_init < 1 or self.tau_dead < 1:
+        if not 0.0 < tau_iou < 1.0:
+            raise ValueError(f"tau_iou out of (0, 1): {tau_iou}")
+        if tau_init < 1 or tau_dead < 1:
             raise ValueError("tau_init and tau_dead must be >= 1")
+        return _record(cls, (high_threshold, low_threshold, tau_iou, tau_init, tau_dead))
 
 
-@dataclass(frozen=True)
-class RescoreConfig:
-    """Parameters of the confidence-fusion update."""
-
+class _RescoreConfig(NamedTuple):
     history_len: int = 3
 
-    def __post_init__(self) -> None:
-        if self.history_len < 1:
-            raise ValueError(f"history_len must be >= 1: {self.history_len}")
+
+class RescoreConfig(_RescoreConfig):
+    """Parameters of the confidence-fusion update."""
+
+    __slots__ = ()
+
+    def __new__(cls, history_len: int = 3) -> RescoreConfig:
+        if history_len < 1:
+            raise ValueError(f"history_len must be >= 1: {history_len}")
+        return _record(cls, (history_len,))
+
+
+def replace(record, **changes):
+    """``record`` with ``changes``, built by its constructor, so a checked
+    record's checks run on the result (``_replace`` would skip them)."""
+    return type(record)(**{**record._asdict(), **changes})
 
 
 def clamp_conf(conf: float) -> float:
@@ -190,7 +237,7 @@ def rescale_packet_to_native(packet: FramePacket) -> FramePacket:
 def out_of_bounds(box: BBox) -> bool:
     """Whether a coordinate's magnitude is over ``MAX_COORDINATE``, which
     every loader rejects."""
-    return max(map(abs, box.as_tuple())) > MAX_COORDINATE
+    return max(map(abs, box)) > MAX_COORDINATE
 
 
 def check_detection_box(bbox: BBox, inference: Resolution, native: Resolution) -> None:

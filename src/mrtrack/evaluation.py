@@ -23,11 +23,10 @@ row has the highest mean F1 (ties toward the higher threshold).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import BBox, DEFAULT_EPSILON, Detection, iou
+from .core import BBox, DEFAULT_EPSILON, Detection
 
 # (sequence_id, frame_index) -> contents of that frame
 FrameKey = tuple[str, int]
@@ -36,16 +35,14 @@ GtObject = tuple[BBox, int]
 IOU_GATE = 0.5
 
 
-@dataclass(frozen=True)
-class GroundTruthFrame:
+class GroundTruthFrame(NamedTuple):
     """Reference objects of one frame, native-resolution coordinates."""
 
     frame_index: int
     objects: tuple[GtObject, ...]
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     ap: float
     precision: float
     recall: float
@@ -55,8 +52,7 @@ class ClassMetrics:
     fn: int
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Per-class and aggregate detection metrics at one threshold."""
 
     per_class: dict[int, ClassMetrics]
@@ -70,21 +66,43 @@ class MetricsReport:
 def match_frame_flags(
     dets: Sequence[Detection], gts: Sequence[GtObject]
 ) -> list[bool]:
-    """TP flag per detection (in the given order); each GT claimed once."""
-    used = [False] * len(gts)
+    """TP flag per detection (in the given order); each GT claimed once.
+
+    A detection scans only its own class's ground truth, grouped once as
+    ``[x1, y1, x2, y2, area, used]`` rows, and computes each IoU by
+    ``core.iou``'s arithmetic, in its order. A pair whose intersection or
+    union is empty has IoU 0.0, which never beats the gate, so it is skipped.
+    """
+    by_class: dict[int, list[list]] = {}
+    for (gx1, gy1, gx2, gy2), gcls in gts:
+        row = [gx1, gy1, gx2, gy2, (gx2 - gx1) * (gy2 - gy1), False]
+        by_class.setdefault(gcls, []).append(row)
     flags = []
     for d in dets:
+        x1, y1, x2, y2 = d.bbox
+        area = (x2 - x1) * (y2 - y1)
         # starting at the gate, only an IoU above it can claim a box
-        best, best_j = IOU_GATE, -1
-        for j, (gbox, gcls) in enumerate(gts):
-            if used[j] or gcls != d.class_id:
+        best, best_row = IOU_GATE, None
+        for row in by_class.get(d.class_id, ()):
+            gx1, gy1, gx2, gy2, garea, used = row
+            if used:
                 continue
-            v = iou(d.bbox, gbox)
+            iw = (gx2 if gx2 < x2 else x2) - (gx1 if gx1 > x1 else x1)
+            if iw <= 0.0:
+                continue
+            ih = (gy2 if gy2 < y2 else y2) - (gy1 if gy1 > y1 else y1)
+            if ih <= 0.0:
+                continue
+            inter = iw * ih
+            union = area + garea - inter
+            if union <= 0.0:
+                continue
+            v = inter / union
             if v > best:
-                best, best_j = v, j
-        if best_j >= 0:
-            used[best_j] = True
-        flags.append(best_j >= 0)
+                best, best_row = v, row
+        if best_row is not None:
+            best_row[5] = True
+        flags.append(best_row is not None)
     return flags
 
 

@@ -8,17 +8,17 @@ loading keeps them (the CLI converts each loaded file once, in
 ``cli._load_native``); it clamps confidences to [0, 1 - epsilon], and checks
 each box with ``core.check_detection_box``, as ``synth.generate`` does.
 Run configuration and synthetic scenarios are YAML documents, read by the
-field types of the dataclasses they fill; a run configuration can inherit
-a preset.
+field types of the records they fill; a run configuration can inherit a
+preset.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import (
-    Callable, Mapping, NamedTuple, Sequence, get_args, get_origin, get_type_hints,
+    TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence, get_args, get_origin,
+    get_type_hints,
 )
 
 from .core import (
@@ -32,11 +32,14 @@ from .core import (
     check_detection_box,
     clamp_conf,
     out_of_bounds,
+    replace,
 )
 from .evaluation import GroundTruthFrame, MetricsReport
 from .pipeline import ResolutionSchedule
-from .synth import SynthScenario
 from .tracks import TrackOutput
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .synth import SynthScenario
 
 
 class FileFormatError(Exception):
@@ -194,7 +197,7 @@ def _write_records(
 
 
 def _box_list(b: BBox) -> list[float]:
-    return [float(v) for v in b.as_tuple()]
+    return [float(v) for v in b]
 
 
 def load_detection_file(path: str | Path) -> dict[str, list[FramePacket]]:
@@ -286,8 +289,7 @@ def save_groundtruth_file(
     _write_records(path, _GROUNDTRUTH, records, entry)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything one tracking run needs: thresholds, schedule, toggles."""
 
     tracker: TrackerConfig
@@ -359,8 +361,8 @@ def _check_keys(mapping: dict, known, prefix: str) -> None:
             raise ValueError(f"unknown key {prefix}{key}; known: {', '.join(known)}")
 
 
-def _fields(cls, mapping, what: str) -> dict:
-    """A YAML mapping as keyword arguments of dataclass ``cls``, each value
+def _keywords(cls, mapping, what: str) -> dict:
+    """A YAML mapping as keyword arguments of record ``cls``, each value
     parsed by its field's type. ``what`` names the mapping ("" at the top)."""
     if type(mapping) is not dict:
         raise ValueError(f"{what} must be a mapping, got {mapping!r}")
@@ -371,15 +373,15 @@ def _fields(cls, mapping, what: str) -> dict:
 
 
 def _parse(tp, value, what: str):
-    """A YAML value as type ``tp``: a dataclass from a mapping, a tuple from a
+    """A YAML value as type ``tp``: a record from a mapping, a tuple from a
     list, a scalar by ``_SCALARS``; nothing is coerced. A missing required
-    dataclass field is a KeyError, any other mismatch a ValueError.
+    record field is a KeyError, any other mismatch a ValueError.
     """
-    if is_dataclass(tp):
-        kwargs = _fields(tp, value, what)
-        for f in fields(tp):
-            if f.default is MISSING and f.name not in kwargs:
-                raise KeyError(f"{what}.{f.name}" if what else f.name)
+    if hasattr(tp, "_fields"):
+        kwargs = _keywords(tp, value, what)
+        for name in tp._fields:
+            if name not in tp._field_defaults and name not in kwargs:
+                raise KeyError(f"{what}.{name}" if what else name)
         return tp(**kwargs)
     if get_origin(tp) is tuple:
         types = get_args(tp)
@@ -398,7 +400,7 @@ def _parse(tp, value, what: str):
         raise ValueError(f"bad {what} {value!r}: out of float range") from None
 
 
-# a config file's sections, each a partial override of a preset's dataclass,
+# a config file's sections, each a partial override of a preset's record,
 # and its top-level values; with "preset", these are all its keys
 _SECTIONS = {"tracker": TrackerConfig, "schedule": ResolutionSchedule,
              "rescore_config": RescoreConfig}
@@ -428,7 +430,7 @@ def load_run_config(
             raise ValueError(
                 f"bad preset {file_preset!r}: need one of {', '.join(PRESET_NAMES)}"
             )
-        sections = {k: _fields(cls, doc.get(k, {}), k) for k, cls in _SECTIONS.items()}
+        sections = {k: _keywords(cls, doc.get(k, {}), k) for k, cls in _SECTIONS.items()}
         toggles = {k: _parse(tp, doc[k], k) for k, tp in _TOGGLES.items() if k in doc}
 
         flags = dict(P=P, emit_coasted=emit_coasted, rescore=rescore_enabled)
@@ -457,6 +459,8 @@ def load_run_config(
 def load_scenario(path: str | Path, seed: int | None = None) -> SynthScenario:
     """Parse a scenario YAML document; a ``seed`` that is not None (the
     CLI's ``--seed``) replaces the file's."""
+    from .synth import SynthScenario  # here: only ``synth`` reads scenarios
+
     doc = _read_mapping(path, "scenario")
     if seed is not None:
         doc["seed"] = seed
@@ -469,9 +473,9 @@ def load_scenario(path: str | Path, seed: int | None = None) -> SynthScenario:
 
 
 def _plain(value):
-    """A dataclass as a dict in field order, tuples as lists: YAML-ready."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    """A record as a dict in field order, tuples as lists: YAML-ready."""
+    if hasattr(value, "_asdict"):
+        return {k: _plain(v) for k, v in value._asdict().items()}
     return list(map(_plain, value)) if type(value) is tuple else value
 
 
@@ -489,7 +493,7 @@ def report_to_dict(report: MetricsReport) -> dict:
         "mean_precision": report.mean_precision,
         "mean_recall": report.mean_recall,
         "mean_f1": report.mean_f1,
-        "per_class": {str(cls): asdict(m) for cls, m in sorted(report.per_class.items())},
+        "per_class": {str(cls): m._asdict() for cls, m in sorted(report.per_class.items())},
     }
 
 

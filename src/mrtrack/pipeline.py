@@ -17,7 +17,6 @@ full-res-only operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .association import iou_matrix, match
@@ -27,8 +26,15 @@ from .rescore import adopt, rescore_update
 from .tracks import Track, TrackOutput, TrackStatus
 
 
-@dataclass(frozen=True)
-class ResolutionSchedule:
+class _ResolutionSchedule(NamedTuple):
+    P: int
+    full_res: Resolution
+    low_res: Resolution
+    mac_full: float
+    mac_low: float
+
+
+class ResolutionSchedule(_ResolutionSchedule):
     """Interleaving policy plus per-resolution inference costs.
 
     ``P`` low-res frames separate consecutive full-res frames; the full-res
@@ -38,31 +44,31 @@ class ResolutionSchedule:
     reports are finite for every ``P``.
     """
 
-    P: int
-    full_res: Resolution
-    low_res: Resolution
-    mac_full: float
-    mac_low: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.P < 0:
-            raise ValueError(f"P must be >= 0: {self.P}")
-        if self.low_res[0] > self.full_res[0] or self.low_res[1] > self.full_res[1]:
-            raise ValueError(
-                f"low_res {self.low_res} exceeds full_res {self.full_res}"
-            )
+    def __new__(
+        cls,
+        P: int,
+        full_res: Resolution,
+        low_res: Resolution,
+        mac_full: float,
+        mac_low: float,
+    ) -> ResolutionSchedule:
+        if P < 0:
+            raise ValueError(f"P must be >= 0: {P}")
+        if low_res[0] > full_res[0] or low_res[1] > full_res[1]:
+            raise ValueError(f"low_res {low_res} exceeds full_res {full_res}")
         try:
-            full, low = float(self.mac_full), float(self.mac_low)
+            full, low = float(mac_full), float(mac_low)
         except OverflowError:  # an int past the float range
             full = low = math.inf
         if not (0 < full < math.inf and 0 <= low < math.inf):
             raise ValueError(
-                f"need finite mac_full > 0 and mac_low >= 0: {self.mac_full}, {self.mac_low}"
+                f"need finite mac_full > 0 and mac_low >= 0: {mac_full}, {mac_low}"
             )
         if not math.isfinite(low / full):
-            raise ValueError(
-                f"need a finite mac_low / mac_full: {self.mac_low} / {self.mac_full}"
-            )
+            raise ValueError(f"need a finite mac_low / mac_full: {mac_low} / {mac_full}")
+        return tuple.__new__(cls, (P, full_res, low_res, mac_full, mac_low))
 
 
 class MacSummary(NamedTuple):
@@ -97,13 +103,15 @@ def mean_mac(s: ResolutionSchedule) -> MacSummary:
     return MacSummary(mean, 1.0 - mean / s.mac_full)
 
 
-@dataclass
 class TrackerState:
     """Mutable per-sequence tracker state; strictly sequential per sequence."""
 
-    active_tracks: list[Track] = field(default_factory=list)
-    next_track_id: int = 0
-    frame_index: int = -1
+    __slots__ = ("active_tracks", "next_track_id", "frame_index")
+
+    def __init__(self) -> None:
+        self.active_tracks: list[Track] = []
+        self.next_track_id = 0
+        self.frame_index = -1
 
 
 def _apply_match(
@@ -162,12 +170,9 @@ def step(
     for t in tracks:
         t.kf_state = kf_predict(t.kf_state)
 
-    d_high = [d for d in frame.detections if d.conf >= tcfg.high_threshold]
-    d_rem = [
-        d
-        for d in frame.detections
-        if tcfg.low_threshold <= d.conf < tcfg.high_threshold
-    ]
+    high, low = tcfg.high_threshold, tcfg.low_threshold
+    d_high = [d for d in frame.detections if d.conf >= high]
+    d_rem = [d for d in frame.detections if low <= d.conf < high]
 
     first = match(iou_matrix(d_high, tracks), tcfg.tau_iou)
     for di, tj in first.matches:

@@ -14,8 +14,7 @@ a detection), so every corpus generated loads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (
     MAX_COORDINATE, BBox, Detection, FramePacket, Resolution, check_detection_box,
@@ -33,35 +32,43 @@ def _check_resolution(res: Resolution, what: str) -> None:
         raise ValueError(f"{what} has a side over {MAX_COORDINATE:g}: {res}")
 
 
-@dataclass(frozen=True)
-class DegradationLevel:
-    """Detector-quality parameters at one inference resolution."""
-
+class _DegradationLevel(NamedTuple):
     resolution: Resolution
     drop_prob: float = 0.0
     class_flip_prob: float = 0.0
     conf_noise_std: float = 0.0
     bbox_jitter_std: float = 0.0
 
-    def __post_init__(self) -> None:
-        _check_resolution(self.resolution, "resolution")
-        for p in (self.drop_prob, self.class_flip_prob):
+
+class DegradationLevel(_DegradationLevel):
+    """Detector-quality parameters at one inference resolution."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        resolution: Resolution,
+        drop_prob: float = 0.0,
+        class_flip_prob: float = 0.0,
+        conf_noise_std: float = 0.0,
+        bbox_jitter_std: float = 0.0,
+    ) -> DegradationLevel:
+        _check_resolution(resolution, "resolution")
+        for p in (drop_prob, class_flip_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability out of [0, 1]: {p}")
-        for std in (self.conf_noise_std, self.bbox_jitter_std):
+        for std in (conf_noise_std, bbox_jitter_std):
             if not 0.0 <= std < math.inf:
                 raise ValueError(f"noise std must be finite and non-negative: {std}")
         # a larger jitter draw can overflow before any box check runs
-        if self.bbox_jitter_std > MAX_COORDINATE:
-            raise ValueError(
-                f"bbox_jitter_std is over {MAX_COORDINATE:g}: {self.bbox_jitter_std}"
-            )
+        if bbox_jitter_std > MAX_COORDINATE:
+            raise ValueError(f"bbox_jitter_std is over {MAX_COORDINATE:g}: {bbox_jitter_std}")
+        return tuple.__new__(
+            cls, (resolution, drop_prob, class_flip_prob, conf_noise_std, bbox_jitter_std)
+        )
 
 
-@dataclass(frozen=True)
-class SynthScenario:
-    """Scenario contract: trajectories plus per-resolution degradations."""
-
+class _SynthScenario(NamedTuple):
     seed: int
     n_objects: int
     frame_count: int
@@ -73,7 +80,29 @@ class SynthScenario:
     base_conf_range: tuple[float, float] = (0.7, 0.9)
     direction_change_prob: float = 0.0
 
-    def __post_init__(self) -> None:
+
+class SynthScenario(_SynthScenario):
+    """Scenario contract: trajectories plus per-resolution degradations."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        seed: int,
+        n_objects: int,
+        frame_count: int,
+        native_resolution: Resolution,
+        degradation: tuple[DegradationLevel, ...],
+        n_classes: int = 4,
+        speed_range: tuple[float, float] = (1.0, 3.0),
+        size_range: tuple[float, float] = (28.0, 72.0),
+        base_conf_range: tuple[float, float] = (0.7, 0.9),
+        direction_change_prob: float = 0.0,
+    ) -> SynthScenario:
+        self = tuple.__new__(cls, (
+            seed, n_objects, frame_count, native_resolution, degradation, n_classes,
+            speed_range, size_range, base_conf_range, direction_change_prob,
+        ))
         if self.n_objects <= 0:
             raise ValueError(f"n_objects must be positive: {self.n_objects}")
         if self.frame_count <= 0:
@@ -116,6 +145,7 @@ class SynthScenario:
                     f"degradation not monotone: {lo.resolution} is less degraded "
                     f"than {hi.resolution}"
                 )
+        return self
 
     @property
     def by_area(self) -> list[DegradationLevel]:
@@ -133,8 +163,7 @@ class SynthScenario:
         )
 
 
-@dataclass(frozen=True)
-class _Trajectory:
+class _Trajectory(NamedTuple):
     class_id: int
     base_conf: float
     boxes: tuple[BBox, ...]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -17,7 +16,6 @@ class TrackStatus(Enum):
     REMOVED = "removed"
 
 
-@dataclass(slots=True)
 class Track:
     """One tracked object: motion state, class hypothesis, lifecycle counters.
 
@@ -25,15 +23,32 @@ class Track:
     that each fusion decision replaces whole.
     """
 
-    track_id: int
-    kf_state: KalmanState
-    class_id: int
-    conf: float
-    conf_agg: float
-    recent_confs: tuple[float, ...] = ()
-    hit_streak: int = 1
-    frames_since_update: int = 0
-    status: TrackStatus = TrackStatus.TENTATIVE
+    __slots__ = (
+        "track_id", "kf_state", "class_id", "conf", "conf_agg", "recent_confs",
+        "hit_streak", "frames_since_update", "status",
+    )
+
+    def __init__(
+        self,
+        track_id: int,
+        kf_state: KalmanState,
+        class_id: int,
+        conf: float,
+        conf_agg: float,
+        recent_confs: tuple[float, ...] = (),
+        hit_streak: int = 1,
+        frames_since_update: int = 0,
+        status: TrackStatus = TrackStatus.TENTATIVE,
+    ) -> None:
+        self.track_id = track_id
+        self.kf_state = kf_state
+        self.class_id = class_id
+        self.conf = conf
+        self.conf_agg = conf_agg
+        self.recent_confs = recent_confs
+        self.hit_streak = hit_streak
+        self.frames_since_update = frames_since_update
+        self.status = status
 
     @classmethod
     def from_detection(cls, track_id: int, det: Detection, tau_init: int) -> "Track":

@@ -8,7 +8,6 @@ command.
 """
 
 import time
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -21,6 +20,7 @@ from mrtrack.core import (
     Detection,
     RescoreConfig,
     iou,
+    replace,
     rescale_packet_to_native,
 )
 from mrtrack.evaluation import average_precision, evaluate, f1_max_threshold, rank_corpus

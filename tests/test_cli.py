@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 import mrtrack
 from mrtrack import cli, evaluation
 from mrtrack.cli import EXIT_OK, EXIT_PARSE, EXIT_SUITE, EXIT_VALIDATION, build_parser, main
-from mrtrack.core import BBox, Detection, FramePacket, RescoreConfig, TrackerConfig
+from mrtrack.core import BBox, Detection, FramePacket, RescoreConfig, TrackerConfig, replace
 from mrtrack.fileio import (
     load_track_file,
     save_detection_file,
@@ -168,12 +167,17 @@ class TestTrackCommand:
 
 
 # prints which of the heavy modules a fresh interpreter has loaded
-_LOADED = "print(sorted({'numpy', 'scipy', 'yaml'} & set(sys.modules)))"
+_LOADED = (
+    "print(sorted({'numpy', 'scipy', 'yaml', 'dataclasses', 'mrtrack.synth'}"
+    " & set(sys.modules)))"
+)
 
 
 class TestStartup:
     """Start-up cost: numpy loads only in the commands that compute with it, and
-    scipy and yaml load in none of them. One fresh interpreter per case."""
+    scipy and yaml load in none of them. No command but ``synth`` loads the
+    emulator, and none loads ``dataclasses`` (records are NamedTuples). One
+    fresh interpreter per case."""
 
     def _loaded(self, statement):
         proc = _python("-c", f"import sys\n{statement}\n{_LOADED}")
@@ -232,6 +236,24 @@ class TestStartup:
                 "--preset", "nanodet", "--P-values", "0,2", "--out", str(tmp_path / "rows.jsonl")]
         assert self._run_main(argv) == "['numpy']"
         assert (tmp_path / "rows.jsonl").stat().st_size > 0
+
+    @pytest.mark.parametrize("command", ["track", "sweep"])
+    def test_config_run_loads_no_dataclasses_or_synth(self, synth_corpus, tmp_path, command):
+        # a config file takes the YAML reader through every section's record
+        config = _write_yaml(tmp_path / "cfg.yaml", {
+            "preset": "nanodet", "tracker": {"tau_iou": 0.25},
+            "schedule": {"mac_low": 150.0}, "rescore_config": {"history_len": 4},
+        })
+        out = tmp_path / "out.jsonl"
+        if command == "track":
+            argv = ["track", str(synth_corpus / "detections_P2.jsonl"), "--P", "2"]
+        else:
+            argv = ["sweep", str(synth_corpus / "detections_320x320.jsonl"),
+                    str(synth_corpus / "detections_192x192.jsonl"),
+                    str(synth_corpus / "gt.jsonl"), "--P-values", "0,2"]
+        loaded = self._run_main([*argv, "--config", str(config), "--out", str(out)])
+        assert "'dataclasses'" not in loaded and "'mrtrack.synth'" not in loaded, loaded
+        assert out.stat().st_size > 0
 
 
 class TestLazyPackage:
@@ -863,6 +885,16 @@ class TestYamlTypes:
         pytest.param({"preset": 5}, "bad preset 5: need one of effvit, nanodet, yolox",
                      id="preset-int"),
         pytest.param({"preset": True}, "bad preset True", id="preset-bool"),
+        # the range checks each record's constructor runs on the merged values
+        pytest.param({"tracker": {"tau_iou": 1.5}}, "tau_iou out of (0, 1)", id="tau-iou-range"),
+        pytest.param({"tracker": {"low_threshold": 0.9}}, "must be below high_threshold 0.45",
+                     id="low-above-high"),
+        pytest.param({"tracker": {"tau_dead": 0}}, "tau_init and tau_dead must be >= 1",
+                     id="tau-dead-zero"),
+        pytest.param({"rescore_config": {"history_len": 0}}, "history_len must be >= 1",
+                     id="history-len-zero"),
+        pytest.param({"schedule": {"low_res": [640, 640]}}, "exceeds full_res",
+                     id="low-res-over-full-res"),
     ])
     def test_bad_config_value(self, tmp_path, p5_corpus, doc, message):
         self._assert_rejected(tmp_path, p5_corpus, doc, message, [])
@@ -940,8 +972,8 @@ class TestYamlTypes:
 # The keys of every config and scenario level, so that a key drawn for one
 # level is often one that belongs to another
 _YAML_KEYS = sorted(
-    {f.name for cls in (SynthScenario, DegradationLevel, TrackerConfig, RescoreConfig,
-                        ResolutionSchedule) for f in fields(cls)}
+    {name for cls in (SynthScenario, DegradationLevel, TrackerConfig, RescoreConfig,
+                      ResolutionSchedule) for name in cls._fields}
     | {"preset", "P", "emit_coasted", "rescore", "tracker", "schedule", "rescore_config"}
 )
 # every count drawn is 5 or below, so a scenario synth accepts generates in milliseconds

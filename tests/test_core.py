@@ -8,12 +8,16 @@ from mrtrack.core import (
     BBox,
     Detection,
     FramePacket,
+    RescoreConfig,
     TrackerConfig,
     clamp_conf,
     iou,
+    replace,
     rescale_bbox,
     rescale_packet_to_native,
 )
+from mrtrack.pipeline import ResolutionSchedule
+from mrtrack.synth import DegradationLevel, SynthScenario
 
 coords = st.floats(min_value=-500, max_value=500, allow_nan=False)
 sizes = st.floats(min_value=0, max_value=300, allow_nan=False)
@@ -42,6 +46,43 @@ class TestBBox:
 
     def test_area(self):
         assert BBox(0, 0, 10, 20).area == 200
+
+
+_CHECKED = [BBox, Detection, FramePacket, TrackerConfig, RescoreConfig, ResolutionSchedule,
+            DegradationLevel, SynthScenario]
+
+
+class TestRecords:
+    """Checked records: NamedTuples whose constructor runs the checks."""
+
+    @pytest.mark.parametrize("cls", _CHECKED, ids=lambda c: c.__name__)
+    def test_constructor_matches_the_fields(self, cls):
+        # the constructor's parameters and defaults are the NamedTuple's, which
+        # the YAML reader reads
+        code, defaults = cls.__new__.__code__, cls.__new__.__defaults__ or ()
+        assert code.co_varnames[1:code.co_argcount] == cls._fields
+        assert dict(zip(cls._fields[len(cls._fields) - len(defaults):], defaults)) == (
+            cls._field_defaults
+        )
+        assert cls.__slots__ == ()
+
+    def test_value_semantics(self):
+        box = BBox(0, 0, 1, 2)
+        assert repr(box) == "BBox(x1=0, y1=0, x2=1, y2=2)"
+        assert box == BBox(0, 0, 1, 2) and hash(box) == hash(BBox(0, 0, 1, 2))
+        assert box != BBox(0, 0, 1, 3)
+        with pytest.raises(AttributeError):
+            box.x1 = 5
+        with pytest.raises(AttributeError):
+            box.label = "a"
+
+    def test_replace_runs_the_checks(self):
+        cfg = TrackerConfig(0.5, 0.1)
+        assert replace(cfg, tau_iou=0.4) == TrackerConfig(0.5, 0.1, tau_iou=0.4)
+        with pytest.raises(ValueError, match="tau_iou out of"):
+            replace(cfg, tau_iou=1.5)
+        with pytest.raises(ValueError, match="inverted box"):
+            replace(BBox(0, 0, 1, 1), x2=-1)
 
 
 class TestIou:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from mrtrack import evaluation
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -21,6 +23,17 @@ def test_rescore_ablation(monkeypatch, capsys):
     out = _run(monkeypatch, capsys, "rescore_ablation.py", "--frames", "40")
     assert "method                 mAP    prec  recall      F1" in out
     assert "rescored tracking" in out
+
+
+def test_rescore_ablation_matches_each_report_once(monkeypatch, capsys):
+    # 40 frames per report: the naive run's f1max threshold, baseline and
+    # tracked reports, then only the rescored run's tracked report
+    calls = []
+    match = evaluation.match_frame_flags
+    monkeypatch.setattr(evaluation, "match_frame_flags",
+                        lambda dets, gts: calls.append(1) or match(dets, gts))
+    _run(monkeypatch, capsys, "rescore_ablation.py", "--frames", "40")
+    assert len(calls) == 4 * 40
 
 
 def test_run_sweep_demo(monkeypatch, capsys, tmp_path):
