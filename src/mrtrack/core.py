@@ -242,22 +242,26 @@ def out_of_bounds(box: BBox) -> bool:
 
 def check_detection_box(bbox: BBox, inference: Resolution, native: Resolution) -> None:
     """The detection loader's checks on a box at its ``inference`` resolution
-    past the parser's bound: a ValueError if rescaling it to ``native``
+    past the parser's bound (``out_of_bounds``), which the caller applies
+    first: a ValueError if rescaling it to ``native``
     resolution overflows or takes a coordinate over ``MAX_COORDINATE``, or
     if the native box is outside the motion filter's domain
     (``bbox_to_cxcyah``: a height under ``MIN_HEIGHT``)."""
-    # as rescale_packet_to_native will: no rescale when the resolutions match
-    try:
-        native_box = bbox if inference == native else rescale_bbox(bbox, inference, native)
-    except (OverflowError, ValueError) as exc:
-        raise ValueError(
-            f"box {bbox.as_tuple()} does not rescale to native resolution: {exc}"
-        ) from None
-    if out_of_bounds(native_box):
-        raise ValueError(
-            f"box {bbox.as_tuple()} at native resolution has a coordinate "
-            f"over {MAX_COORDINATE:g}"
-        )
+    # as rescale_packet_to_native will: no rescale when the resolutions match;
+    # an unscaled box is the one the parser's bound has already passed
+    native_box = bbox
+    if inference != native:
+        try:
+            native_box = rescale_bbox(bbox, inference, native)
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(
+                f"box {bbox.as_tuple()} does not rescale to native resolution: {exc}"
+            ) from None
+        if out_of_bounds(native_box):
+            raise ValueError(
+                f"box {bbox.as_tuple()} at native resolution has a coordinate "
+                f"over {MAX_COORDINATE:g}"
+            )
     try:
         bbox_to_cxcyah(native_box)
     except ValueError as exc:

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mrtrack import association
 from mrtrack.association import iou_matrix, match
 from mrtrack.core import BBox, Detection, iou
 from mrtrack.tracks import Track
@@ -50,19 +51,23 @@ def _track_at(cx, cy, a, h, track_id=0):
 # small integer grid so identical, touching and disjoint boxes are common
 _coord = st.one_of(st.integers(0, 12).map(float), st.floats(-50, 50))
 _extent = st.one_of(st.just(0.0), st.integers(0, 6).map(float), st.floats(0, 30))
-_dets = st.lists(
-    st.builds(lambda x, y, w, h: _det(x, y, x + w, y + h), _coord, _coord, _extent, _extent),
-    max_size=6,
+_det_box = st.builds(lambda x, y, w, h: _det(x, y, x + w, y + h), _coord, _coord, _extent, _extent)
+_mean = st.tuples(
+    _coord,
+    _coord,
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 3)),  # aspect <= 0: zero width
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5, 30)),  # height <= 0: zero area
 )
-_track_means = st.lists(
-    st.tuples(
-        _coord,
-        _coord,
-        st.one_of(st.just(0.0), st.floats(-1, 3)),  # aspect <= 0 gives zero width
-        st.one_of(st.just(0.0), st.floats(-5, 30)),  # height <= 0 gives zero area
-    ),
-    max_size=6,
-)
+# up to 144 pairs, so frames fall on both sides of SCALAR_MAX_CELLS (64)
+_dets = st.lists(_det_box, max_size=12)
+_track_means = st.lists(_mean, max_size=12)
+
+
+def _diagonal(n_dets, n_tracks):
+    """Overlapping, touching and disjoint pairs on a diagonal of unit steps."""
+    dets = [_det(i, i, i + 4, i + 4) for i in range(n_dets)]
+    means = [(j + 1.0, j + 1.0, 1.0, 4.0) for j in range(n_tracks)]
+    return dets, means
 
 
 class TestIouMatrixEqualsScalarIou:
@@ -72,6 +77,10 @@ class TestIouMatrixEqualsScalarIou:
     @example([_det(0, 0, 0, 10), _det(3, 3, 3, 3)], [(0.0, 5.0, 0.0, 10.0), (3.0, 3.0, 1.0, 0.0)])
     @example([], [(5.0, 5.0, 1.0, 10.0)])
     @example([_det(0, 0, 10, 10)], [])
+    # overlapping boxes whose intersection and union underflow to 0
+    @example([_det(0, 0, 1e-200, 1e-200)], [(5e-201, 5e-201, 1.0, 1e-200)])
+    @example(*_diagonal(8, 8))  # 64 pairs: the largest frame of the scalar path
+    @example(*_diagonal(5, 13))  # 65 pairs: the smallest of the broadcast
     def test_bit_identical_to_scalar_loop(self, dets, means):
         tracks = [_track_at(*m, track_id=i) for i, m in enumerate(means)]
         want = np.array(
@@ -81,6 +90,29 @@ class TestIouMatrixEqualsScalarIou:
         assert isinstance(got, np.ndarray)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+class TestIouMatrixPaths:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_det_box, min_size=1, max_size=12), st.lists(_mean, min_size=1, max_size=12))
+    def test_scalar_and_broadcast_agree(self, dets, means):
+        tracks = [_track_at(*m, track_id=i) for i, m in enumerate(means)]
+        scalar = association._iou_scalar(dets, tracks)
+        assert scalar.shape == (len(dets), len(tracks))
+        assert np.array_equal(scalar, association._iou_broadcast(dets, tracks))
+
+    def test_frame_size_selects_path(self, monkeypatch):
+        taken = []
+        for name in ("_iou_scalar", "_iou_broadcast"):
+            path = getattr(association, name)
+            monkeypatch.setattr(
+                association, name, lambda d, t, name=name, path=path: taken.append(name) or path(d, t)
+            )
+        for n_dets, n_tracks in ((8, 8), (5, 13)):
+            dets, means = _diagonal(n_dets, n_tracks)
+            iou_matrix(dets, [_track_at(*m) for m in means])
+        assert association.SCALAR_MAX_CELLS == 64
+        assert taken == ["_iou_scalar", "_iou_broadcast"]
 
 
 class TestMatch:

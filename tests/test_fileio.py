@@ -102,6 +102,25 @@ class TestDetectionFile:
         path.write_text("")
         assert load_detection_file(path) == {}
 
+    def test_native_box_bound_checked_once(self, tmp_path, monkeypatch):
+        import mrtrack.core
+        import mrtrack.fileio
+
+        calls = []
+
+        def counted(box):
+            calls.append(box)
+            return mrtrack.core.MAX_COORDINATE < max(map(abs, box))
+
+        monkeypatch.setattr(mrtrack.core, "out_of_bounds", counted)
+        monkeypatch.setattr(mrtrack.fileio, "out_of_bounds", counted)
+        path = tmp_path / "dets.jsonl"
+        save_detection_file(path, {"s": [FramePacket(0, (320, 320), (320, 320), (
+            Detection(BBox(0, 0, 5, 5), 0, 0.5), Detection(BBox(1, 2, 3, 4), 1, 0.5),
+        ))]})
+        load_detection_file(path)
+        assert calls == [BBox(0, 0, 5, 5), BBox(1, 2, 3, 4)]
+
 
 class TestTrackAndGroundTruthFiles:
     def test_track_round_trip(self, tmp_path):
