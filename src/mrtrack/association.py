@@ -22,14 +22,19 @@ class MatchResult(NamedTuple):
     unmatched_trackers: tuple[int, ...]
 
 
-# Frames of at most this many detection-track pairs take ``_iou_scalar``,
-# larger ones ``_iou_broadcast``. The broadcast's ~20 numpy calls cost a
-# fixed ~55 us; the loop costs ~0.3-0.6 us a pair, more when more pairs
-# overlap. Replaying the benchmark workloads' calls and all-overlap frames
-# through both (2-vCPU x86 host, median us per call): 1-16 pairs 4-16
-# against 56-66, 64 pairs 32-40 against 69-70, 100-144 pairs 50-67 against
-# 72-73, 225-400 pairs 104-133 against 79-80. 64 keeps the loop under 0.6x
-# the broadcast's time even when every pair overlaps.
+# The one size rule of both association steps: a frame of at most this many
+# detection-track pairs takes the plain-Python path of ``iou_matrix``
+# (``_iou_scalar``) and of ``match`` (``_best_scalar``), a larger one the
+# numpy path (``_iou_broadcast``, ``_best_numpy``). numpy's paths pay a fixed
+# set-up cost per call that the loops skip; the loops pay per pair. Replaying
+# the benchmark workloads' calls and all-overlap frames (2-vCPU x86 host,
+# median us per call), ``iou_matrix``: 1-16 pairs 4-16 against 56-66, 64
+# pairs 32-40 against 69-70, 100-144 pairs 50-67 against 72-73, 225-400
+# pairs 104-133 against 79-80; 64 keeps the loop under 0.6x the broadcast's
+# time even when every pair overlaps. ``match``'s best-tracker step, two
+# replays: 1-16 pairs 1.2-4.1 against 9.0-10.3, 64 pairs 5.3-8.7 against
+# 6.4-11.8, 6.2-7.7 against 6.2-10.0 when every pair is feasible; so 64
+# holds for both functions.
 SCALAR_MAX_CELLS = 64
 
 
@@ -55,7 +60,7 @@ def iou_matrix(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarray
     import numpy as np
 
     if not dets or not tracks:
-        # the second pass often has nothing on one side; skip the array set-up
+        # a frame with no tracks, or no detections, needs no array set-up
         return np.zeros((len(dets), len(tracks)))
     if len(dets) * len(tracks) <= SCALAR_MAX_CELLS:
         return _iou_scalar(dets, tracks)
@@ -73,13 +78,12 @@ def _iou_scalar(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarra
         w = (0.0 if a < 0.0 else a) * h
         x1, y1, x2, y2 = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
         table.append((x1, y1, x2, y2, (x2 - x1) * (y2 - y1)))
-    rows = []
+    flat = []  # the matrix row by row
     for det in dets:
         # float() is exact for numpy.float64, which synth's boxes hold, and
         # keeps the loop off numpy's slow scalar arithmetic
         x1, y1, x2, y2 = map(float, det.bbox)
         area = (x2 - x1) * (y2 - y1)
-        row = []
         for tx1, ty1, tx2, ty2, t_area in table:
             # min() and max() written out, which is the same choice (signed
             # zeros included) without two calls per pair
@@ -90,11 +94,10 @@ def _iou_scalar(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarra
                     inter = iw * ih
                     union = area + t_area - inter
                     if union > 0.0:  # false for NaN, as the broadcast's gate
-                        row.append(inter / union)
+                        flat.append(inter / union)
                         continue
-            row.append(0.0)
-        rows.append(row)
-    return np.array(rows)
+            flat.append(0.0)
+    return np.fromiter(flat, float, len(flat)).reshape(len(dets), len(tracks))
 
 
 def _iou_broadcast(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarray:
@@ -133,6 +136,13 @@ def match(cost_matrix: np.ndarray, tau_iou: float) -> MatchResult:
     square-padded cost block, and every other detection keeps its best
     tracker.
 
+    The best trackers come from a plain loop over the rows' Python floats
+    (``_best_scalar``) for a frame of at most ``SCALAR_MAX_CELLS`` (64)
+    pairs, which skips numpy's fixed per-call cost, and from numpy
+    (``_best_numpy``) for a larger one; both give the same choice, a NaN
+    entry never feasible. The feasibility array the components need is
+    built only when two detections want the same tracker.
+
     Ties are broken by index. A detection whose best IoU is shared by several
     trackers wants the lowest-index one. Inside a solved component the costs
     carry a perturbation of ``(i * m + j) * 1e-10 / (n * m)``, which prefers
@@ -148,16 +158,15 @@ def match(cost_matrix: np.ndarray, tau_iou: float) -> MatchResult:
     2-vCPU x86 host, where a compiled solver takes under 1 ms. Tracker frames
     give components of at most about a dozen, most of them a single pair.
     """
-    import numpy as np
-
     n, m = cost_matrix.shape
     if n == 0 or m == 0:
         return MatchResult((), tuple(range(n)), tuple(range(m)))
-    feasible = cost_matrix >= tau_iou
-    best = np.where(feasible, cost_matrix, -np.inf).argmax(axis=1).tolist()
-    live = feasible.any(axis=1).tolist()
-    chosen = {i: j for i, (j, ok) in enumerate(zip(best, live)) if ok}
+    if n * m <= SCALAR_MAX_CELLS:
+        chosen = _best_scalar(cost_matrix, tau_iou)
+    else:
+        chosen = _best_numpy(cost_matrix, tau_iou)
     if len(set(chosen.values())) < len(chosen):
+        feasible = cost_matrix >= tau_iou
         wanted = Counter(chosen.values())
         contested = [i for i, j in chosen.items() if wanted[j] > 1]
         for rows, cols in _components(feasible, contested):
@@ -172,6 +181,30 @@ def match(cost_matrix: np.ndarray, tau_iou: float) -> MatchResult:
         tuple(i for i in range(n) if i not in chosen),
         tuple(j for j in range(m) if j not in matched_t),
     )
+
+
+def _best_scalar(cost_matrix: np.ndarray, tau_iou: float) -> dict[int, int]:
+    """Each detection with a feasible pair -> its best tracker, by a loop over rows."""
+    chosen = {}
+    for i, row in enumerate(cost_matrix.tolist()):
+        best, top = -1, tau_iou
+        for j, v in enumerate(row):
+            # NaN fails ``>=``; ``>`` keeps the lowest index of a tied best
+            if v >= tau_iou and (best < 0 or v > top):
+                best, top = j, v
+        if best >= 0:
+            chosen[i] = best
+    return chosen
+
+
+def _best_numpy(cost_matrix: np.ndarray, tau_iou: float) -> dict[int, int]:
+    """``_best_scalar`` by numpy: argmax takes the lowest index of a tied best."""
+    import numpy as np
+
+    feasible = cost_matrix >= tau_iou
+    best = np.where(feasible, cost_matrix, -np.inf).argmax(axis=1).tolist()
+    live = feasible.any(axis=1).tolist()
+    return {i: j for i, (j, ok) in enumerate(zip(best, live)) if ok}
 
 
 def _components(

@@ -283,10 +283,13 @@ def bbox_to_cxcyah(b: BBox) -> tuple[float, float, float, float]:
         raise ValueError(
             f"{what} {b.as_tuple()} is under the motion filter's {MIN_HEIGHT:g} px floor"
         )
-    z = ((x1 + x2) / 2.0, (y1 + y2) / 2.0, (x2 - x1) / h, h)
-    if not all(map(math.isfinite, z)):
+    cx, cy, a = (x1 + x2) / 2.0, (y1 + y2) / 2.0, (x2 - x1) / h
+    # a value is finite exactly when it is within the float range (NaN is
+    # not), as BBox.__new__ tests; h >= MIN_HEIGHT needs only its upper bound
+    if not (-_FLOAT_MAX <= cx <= _FLOAT_MAX and -_FLOAT_MAX <= cy <= _FLOAT_MAX
+            and -_FLOAT_MAX <= a <= _FLOAT_MAX and h <= _FLOAT_MAX):
         raise ValueError(f"box {b.as_tuple()}: non-finite center, aspect or height")
-    return z
+    return cx, cy, a, h
 
 
 def cxcyah_to_bbox(cx: float, cy: float, a: float, h: float) -> BBox:
@@ -296,6 +299,10 @@ def cxcyah_to_bbox(cx: float, cy: float, a: float, h: float) -> BBox:
     h = 0.0 if h < 0.0 else h
     w = (0.0 if a < 0.0 else a) * h
     x1, y1, x2, y2 = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+    # ordered corners inside the range pass every check of BBox.__new__
+    if (-MAX_COORDINATE <= x1 <= x2 <= MAX_COORDINATE
+            and -MAX_COORDINATE <= y1 <= y2 <= MAX_COORDINATE):
+        return _record(BBox, (x1, y1, x2, y2))
     # x1 <= x2 and y1 <= y2, so these four bound all four corners
     if not (-MAX_COORDINATE <= x1 and -MAX_COORDINATE <= y1
             and x2 <= MAX_COORDINATE and y2 <= MAX_COORDINATE):

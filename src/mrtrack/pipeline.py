@@ -25,6 +25,9 @@ from .kalman import kf_predict, kf_update
 from .rescore import adopt, rescore_update
 from .tracks import Track, TrackOutput, TrackStatus
 
+# builds a record from one tuple of its values; TrackOutput has no checks
+_record = tuple.__new__
+
 
 class _ResolutionSchedule(NamedTuple):
     P: int
@@ -147,8 +150,10 @@ def step(
     dropped; those at or above ``high_threshold`` are matched first, against
     every active track, and may start new tracks; the band in between is
     matched second, against the tracks the first pass left, and can only
-    extend them. Ids are handed out in creation order and ``active_tracks``
-    keeps that order, so each frame's outputs come in ascending id order.
+    extend them; that pass runs only when the band has detections, and
+    otherwise every track the first pass left is marked missed at once.
+    Ids are handed out in creation order and ``active_tracks`` keeps that
+    order, so each frame's outputs come in ascending id order.
 
     With ``emit_coasted`` unmatched confirmed tracks also emit their
     predicted boxes (until removed after ``tau_dead`` missed frames);
@@ -171,18 +176,24 @@ def step(
         t.kf_state = kf_predict(t.kf_state)
 
     high, low = tcfg.high_threshold, tcfg.low_threshold
-    d_high = [d for d in frame.detections if d.conf >= high]
-    d_rem = [d for d in frame.detections if low <= d.conf < high]
+    d_high, d_rem = [], []
+    for d in frame.detections:
+        if d.conf >= high:
+            d_high.append(d)
+        elif d.conf >= low:
+            d_rem.append(d)
 
     first = match(iou_matrix(d_high, tracks), tcfg.tau_iou)
     for di, tj in first.matches:
         _apply_match(tracks[tj], d_high[di], tcfg, rcfg, rescore_enabled)
     left = [tracks[j] for j in first.unmatched_trackers]
-    second = match(iou_matrix(d_rem, left), tcfg.tau_iou)
-    for di, tj in second.matches:
-        _apply_match(left[tj], d_rem[di], tcfg, rcfg, rescore_enabled)
-    for tj in second.unmatched_trackers:
-        left[tj].mark_missed(tcfg.tau_dead)
+    if d_rem:
+        second = match(iou_matrix(d_rem, left), tcfg.tau_iou)
+        for di, tj in second.matches:
+            _apply_match(left[tj], d_rem[di], tcfg, rcfg, rescore_enabled)
+        left = [left[j] for j in second.unmatched_trackers]
+    for t in left:
+        t.mark_missed(tcfg.tau_dead)
 
     for di in first.unmatched_detections:
         tracks.append(Track.from_detection(state.next_track_id, d_high[di], tcfg.tau_init))
@@ -190,7 +201,7 @@ def step(
 
     # tracks is in creation order, so the outputs need no sort by id
     outputs = [
-        TrackOutput(t.track_id, t.current_box(), t.class_id, t.conf)
+        _record(TrackOutput, (t.track_id, t.current_box(), t.class_id, t.conf))
         for t in tracks
         if t.status is TrackStatus.CONFIRMED
         and (t.frames_since_update == 0 or emit_coasted)

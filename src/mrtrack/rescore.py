@@ -26,6 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .tracks import Track
 
 
+# builds a record from one tuple of its values; RescoreDecision has no checks
+_record = tuple.__new__
+
+
 class RescoreDecision(NamedTuple):
     """Result of one fusion step; apply to the track via ``Track.apply_rescore``.
 
@@ -44,7 +48,9 @@ class RescoreDecision(NamedTuple):
 def adopt(det: Detection, switched: bool) -> RescoreDecision:
     """The class state that ``det`` alone gives a track; ``switched`` tells
     whether the track held another class before."""
-    return RescoreDecision(det.class_id, det.conf, clamp_conf(det.conf), switched, (det.conf,))
+    return _record(
+        RescoreDecision, (det.class_id, det.conf, clamp_conf(det.conf), switched, (det.conf,))
+    )
 
 
 def rescore_update(
@@ -67,10 +73,10 @@ def rescore_update(
         if conf_agg < det.conf:
             return adopt(det, True)
     history = (*track.recent_confs, det.conf)[-cfg.history_len:]
-    return RescoreDecision(
+    return _record(RescoreDecision, (
         track.class_id,
         sum(history) / len(history),
         min(conf_agg, 1.0 - DEFAULT_EPSILON),
         False,
         history,
-    )
+    ))

@@ -35,6 +35,25 @@ def brute_force_assignment_value(matrix, tau):
     return best
 
 
+def subset_assignment_value(matrix, tau):
+    """``brute_force_assignment_value`` for ``tau > 0``, enumerated over sets
+    of used trackers instead of permutations: row by row, the best total of
+    every set of trackers the rows so far can take (a row may take none).
+    O(n * m * 2^m) in place of O(size! * size), so 9 x 9 stays cheap.
+    """
+    best = {0: 0.0}  # bit mask of the trackers taken -> best total
+    for row in matrix:
+        grown = dict(best)  # this row left unmatched
+        for used, total in best.items():
+            for j, v in enumerate(row):
+                if v >= tau and not used >> j & 1:
+                    key = used | 1 << j
+                    if key not in grown or total + v > grown[key]:
+                        grown[key] = total + v
+        best = grown
+    return max(best.values())
+
+
 def lsap_match_oracle(cost_matrix, tau_iou):
     """Gated maximum-IoU assignment solved by scipy's linear_sum_assignment.
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,7 @@ from mrtrack.association import iou_matrix, match
 from mrtrack.core import BBox, Detection, iou
 from mrtrack.tracks import Track
 
-from oracles import brute_force_assignment_value, lsap_match_oracle
+from oracles import brute_force_assignment_value, lsap_match_oracle, subset_assignment_value
 
 
 def _det(x1, y1, x2, y2, cls=0, conf=0.9):
@@ -259,15 +261,28 @@ class TestMatchTies:
     @given(
         arrays(
             float,
-            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            # up to 81 cells, so both sides of SCALAR_MAX_CELLS (64) are drawn
+            st.tuples(st.integers(0, 9), st.integers(0, 9)),
             elements=st.sampled_from([0.0, 0.2, TAU, 0.5, 0.8, 1.0]),
         )
     )
     def test_total_equals_brute_force(self, mat):
         r = match(mat, TAU)
         assert all(mat[i, j] >= TAU for i, j in r.matches)
-        want = brute_force_assignment_value(mat.tolist(), TAU)
+        want = subset_assignment_value(mat.tolist(), TAU)
         assert _total(mat, r) == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            elements=st.sampled_from([0.0, 0.2, TAU, 0.5, 0.8, 1.0]),
+        )
+    )
+    def test_subset_oracle_equals_permutations(self, mat):
+        want = brute_force_assignment_value(mat.tolist(), TAU)
+        assert subset_assignment_value(mat.tolist(), TAU) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize(
         "mat, matches",
@@ -281,3 +296,58 @@ class TestMatchTies:
         mat = np.array(mat)
         assert match(mat, TAU).matches == matches
         assert lsap_match_oracle(mat, TAU).matches == matches
+
+
+def _all_equal(n, m):
+    """Every detection wants tracker 0: one contested component."""
+    return np.full((n, m), 0.5)
+
+
+def _eye(n, m):
+    """One feasible pair per row and column: no detection is contested."""
+    return np.eye(n, m) * 0.8
+
+
+class TestMatchPaths:
+    """``_best_scalar`` (at most 64 cells) and ``_best_numpy`` choose alike."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            float,
+            # up to 144 cells, so frames fall on both sides of SCALAR_MAX_CELLS
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+            elements=st.sampled_from([0.0, -0.0, 0.2, TAU, 0.5, 0.8, 1.0, math.nan]),
+        )
+    )
+    @example(_eye(8, 8))  # 64 cells: the largest frame of the list path
+    @example(_eye(5, 13))  # 65 cells: the smallest of the numpy path
+    @example(_all_equal(8, 8))
+    @example(_all_equal(5, 13))
+    def test_paths_give_equal_results(self, mat):
+        assert association._best_scalar(mat, TAU) == association._best_numpy(mat, TAU)
+        results = []
+        for limit in (mat.size, mat.size - 1):  # the list path, then numpy's
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(association, "SCALAR_MAX_CELLS", limit)
+                results.append(match(mat, TAU))
+        assert results[0] == results[1]
+        assert results[0] == match(mat, TAU)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (5, 13)])
+    def test_contested_frames_equal_oracle(self, shape):
+        mat = _gated_matrix(*shape, seed=3, density=1.0, at_tau=0)
+        assert _contested(mat)
+        assert match(mat, TAU) == lsap_match_oracle(mat, TAU)
+
+    def test_frame_size_selects_path(self, monkeypatch):
+        taken = []
+        for name in ("_best_scalar", "_best_numpy"):
+            path = getattr(association, name)
+            monkeypatch.setattr(
+                association, name, lambda c, t, name=name, path=path: taken.append(name) or path(c, t)
+            )
+        match(_eye(8, 8), TAU)
+        match(_eye(5, 13), TAU)
+        assert association.SCALAR_MAX_CELLS == 64
+        assert taken == ["_best_scalar", "_best_numpy"]

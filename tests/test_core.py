@@ -1,16 +1,20 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mrtrack.core import (
+    MAX_COORDINATE,
+    MIN_HEIGHT,
     BBox,
     Detection,
     FramePacket,
     RescoreConfig,
     TrackerConfig,
+    bbox_to_cxcyah,
     clamp_conf,
+    cxcyah_to_bbox,
     iou,
     replace,
     rescale_bbox,
@@ -185,3 +189,88 @@ class TestDetectionAndPacket:
         det = Detection(BBox(0, 0, 96, 96), 0, 0.9)
         packet = FramePacket(0, (320, 320), (320, 320), (det,))
         assert rescale_packet_to_native(packet) is packet
+
+
+def _unchecked(x1, y1, x2, y2):
+    """A BBox built without its checks (``_make``), to reach the filter's own."""
+    return BBox._make((x1, y1, x2, y2))
+
+
+class TestBoxToFilterSpace:
+    """``bbox_to_cxcyah``: the motion filter's one input check."""
+
+    def test_converts(self):
+        assert bbox_to_cxcyah(BBox(0, 10, 30, 20)) == (15.0, 15.0, 3.0, 10.0)
+
+    def test_zero_height(self):
+        with pytest.raises(ValueError, match=r"^zero-height box \(0, 5, 10, 5\) is under"):
+            bbox_to_cxcyah(BBox(0, 5, 10, 5))
+
+    def test_height_under_the_floor(self):
+        with pytest.raises(ValueError, match=r"^box of height 1e-101 .* 1e-100 px floor"):
+            bbox_to_cxcyah(BBox(0, 0, 1, 1e-101))
+        assert bbox_to_cxcyah(BBox(0, 0, 1, MIN_HEIGHT))[3] == MIN_HEIGHT
+
+    @pytest.mark.parametrize("corner", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_corner(self, corner, bad):
+        box = [0.0, 0.0, 10.0, 10.0]
+        box[corner] = bad
+        # y2 = -inf or y1 = +inf makes the height -inf, which the floor rejects
+        negative_height = (corner, bad) in ((3, -math.inf), (1, math.inf))
+        message = "box of height -inf" if negative_height else "non-finite center, aspect or height"
+        with pytest.raises(ValueError, match=message):
+            bbox_to_cxcyah(_unchecked(*box))
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            BBox(1e308, 0, 1.7e308, 1),  # x1 + x2 overflows: the center
+            BBox(-1e308, 0, 1e308, 1),  # x2 - x1 overflows: the aspect
+            BBox(0, -1e308, 1, 1e308),  # y2 - y1 overflows: the height
+            BBox(0, 0, 1e300, 1e-10),  # finite width over a tiny height: the aspect
+        ],
+    )
+    def test_finite_box_that_overflows(self, box):
+        with pytest.raises(ValueError, match=r": non-finite center, aspect or height$"):
+            bbox_to_cxcyah(box)
+
+
+class TestFilterSpaceToBox:
+    """``cxcyah_to_bbox``: a checked BBox, clamped into the loaders' range."""
+
+    @given(
+        st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1, 10), st.floats(-10, 1e3)
+    )
+    @example(0.0, 0.0, -0.0, -0.0)
+    @example(-0.0, -0.0, 0.0, 0.0)
+    def test_in_range_equals_checked_box(self, cx, cy, a, h):
+        got = cxcyah_to_bbox(cx, cy, a, h)
+        h = max(h, 0.0)
+        w = max(a, 0.0) * h
+        want = BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+        assert type(got) is BBox
+        assert got == want
+        # signed zeros too, which == does not tell apart
+        assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+
+    def test_clamps_into_range(self):
+        m = MAX_COORDINATE
+        assert cxcyah_to_bbox(2e100, -2e100, 1.0, 2.0) == BBox(m, -m, m, -m)
+        assert cxcyah_to_bbox(0.0, 0.0, 1.0, 4e100) == BBox(-m, -m, m, m)
+        assert cxcyah_to_bbox(math.inf, 0.0, 1.0, 1.0) == BBox(m, -0.5, m, 0.5)
+
+    @pytest.mark.parametrize(
+        "mean",
+        [
+            (math.nan, 0.0, 1.0, 1.0),
+            (0.0, math.nan, 1.0, 1.0),
+            (0.0, 0.0, math.nan, 1.0),
+            (0.0, 0.0, 1.0, math.nan),
+            (0.0, 0.0, math.inf, 0.0),  # inf * 0 width
+            (math.inf, 0.0, 1.0, math.inf),  # inf - inf corner
+        ],
+    )
+    def test_nan_or_inf_mean_raises(self, mean):
+        with pytest.raises(ValueError, match="non-finite box coordinate"):
+            cxcyah_to_bbox(*mean)
