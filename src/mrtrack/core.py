@@ -14,10 +14,12 @@ So does the rule for which box a file may hold, ``out_of_bounds`` and
 apply it.
 
 Records are NamedTuples, so no command pays for dataclass machinery at
-start-up. A record with checks is a slotted subclass of its NamedTuple
-whose ``__new__`` runs them and then builds the tuple with
-``tuple.__new__``. ``_replace`` and ``_make`` build without the checks, so
-code makes a changed record with the constructor.
+start-up. A config or packet record is a NamedTuple with a ``_check``
+method, which ``checked`` makes the slotted subclass whose constructor,
+NamedTuple's own, runs it. ``BBox`` and ``Detection``, built once per box,
+keep a hand-written ``__new__`` that checks, then builds with
+``tuple.__new__``. ``_replace`` and ``_make`` skip the checks, so code
+changes a record with ``replace``.
 """
 
 from __future__ import annotations
@@ -108,85 +110,75 @@ class Detection(_Detection):
         return _record(cls, (bbox, class_id, conf))
 
 
-class _FramePacket(NamedTuple):
-    frame_index: int
-    inference_resolution: Resolution
-    native_resolution: Resolution
-    detections: tuple[Detection, ...] = ()
+def checked(base):
+    """``base``, a NamedTuple with a ``_check`` method, as the slotted subclass
+    of the same name whose constructor is NamedTuple's own (same parameters
+    and defaults) followed by ``_check`` on the record it built."""
+    make = base.__new__
+
+    def __new__(cls, *args, **kwargs):
+        record = make(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    return type(base.__name__, (base,), {
+        "__slots__": (), "__new__": __new__, "__module__": base.__module__,
+        "__qualname__": base.__qualname__, "__doc__": base.__doc__,
+    })
 
 
-class FramePacket(_FramePacket):
+@checked
+class FramePacket(NamedTuple):
     """All detections of one frame, tagged with the inference resolution.
 
     Coordinates are in ``inference_resolution`` space until the CLI converts
     each loaded packet, once, with ``rescale_packet_to_native`` (tag kept).
     """
 
-    __slots__ = ()
+    frame_index: int
+    inference_resolution: Resolution
+    native_resolution: Resolution
+    detections: tuple[Detection, ...] = ()
 
-    def __new__(
-        cls,
-        frame_index: int,
-        inference_resolution: Resolution,
-        native_resolution: Resolution,
-        detections: tuple[Detection, ...] = (),
-    ) -> FramePacket:
-        if frame_index < 0:
-            raise ValueError(f"negative frame index: {frame_index}")
-        for res in (inference_resolution, native_resolution):
+    def _check(self) -> None:
+        if self.frame_index < 0:
+            raise ValueError(f"negative frame index: {self.frame_index}")
+        for res in (self.inference_resolution, self.native_resolution):
             if res[0] <= 0 or res[1] <= 0:
                 raise ValueError(f"non-positive resolution: {res}")
-        return _record(
-            cls, (frame_index, inference_resolution, native_resolution, detections)
-        )
 
 
-class _TrackerConfig(NamedTuple):
+@checked
+class TrackerConfig(NamedTuple):
+    """Association and lifecycle thresholds for the two-pass tracker."""
+
     high_threshold: float
     low_threshold: float
     tau_iou: float = 0.3
     tau_init: int = 2
     tau_dead: int = 5
 
-
-class TrackerConfig(_TrackerConfig):
-    """Association and lifecycle thresholds for the two-pass tracker."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        high_threshold: float,
-        low_threshold: float,
-        tau_iou: float = 0.3,
-        tau_init: int = 2,
-        tau_dead: int = 5,
-    ) -> TrackerConfig:
-        if not low_threshold < high_threshold:
+    def _check(self) -> None:
+        if not self.low_threshold < self.high_threshold:
             raise ValueError(
-                f"low_threshold {low_threshold} must be below "
-                f"high_threshold {high_threshold}"
+                f"low_threshold {self.low_threshold} must be below "
+                f"high_threshold {self.high_threshold}"
             )
-        if not 0.0 < tau_iou < 1.0:
-            raise ValueError(f"tau_iou out of (0, 1): {tau_iou}")
-        if tau_init < 1 or tau_dead < 1:
+        if not 0.0 < self.tau_iou < 1.0:
+            raise ValueError(f"tau_iou out of (0, 1): {self.tau_iou}")
+        if self.tau_init < 1 or self.tau_dead < 1:
             raise ValueError("tau_init and tau_dead must be >= 1")
-        return _record(cls, (high_threshold, low_threshold, tau_iou, tau_init, tau_dead))
 
 
-class _RescoreConfig(NamedTuple):
-    history_len: int = 3
-
-
-class RescoreConfig(_RescoreConfig):
+@checked
+class RescoreConfig(NamedTuple):
     """Parameters of the confidence-fusion update."""
 
-    __slots__ = ()
+    history_len: int = 3
 
-    def __new__(cls, history_len: int = 3) -> RescoreConfig:
-        if history_len < 1:
-            raise ValueError(f"history_len must be >= 1: {history_len}")
-        return _record(cls, (history_len,))
+    def _check(self) -> None:
+        if self.history_len < 1:
+            raise ValueError(f"history_len must be >= 1: {self.history_len}")
 
 
 def replace(record, **changes):

@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .association import iou_matrix, match
-from .core import Detection, FramePacket, RescoreConfig, Resolution, TrackerConfig
+from .core import Detection, FramePacket, RescoreConfig, Resolution, TrackerConfig, checked
 from .kalman import kf_predict, kf_update
 from .rescore import adopt, rescore_update
 from .tracks import Track, TrackOutput, TrackStatus
@@ -29,49 +29,44 @@ from .tracks import Track, TrackOutput, TrackStatus
 _record = tuple.__new__
 
 
-class _ResolutionSchedule(NamedTuple):
+@checked
+class ResolutionSchedule(NamedTuple):
+    """Interleaving policy plus per-resolution inference costs.
+
+    ``P`` low-res frames separate consecutive full-res frames; the full-res
+    fraction is 1 / (1 + P). Both resolutions have positive sides, and
+    ``low_res`` none over ``full_res``'s. MAC figures are per-inference
+    totals (any unit, as long as both share it); ``mac_full`` is positive
+    and ``mac_low / mac_full`` finite, all as floats, so the mean and
+    reduction ``mean_mac`` reports are finite for every ``P``.
+    """
+
     P: int
     full_res: Resolution
     low_res: Resolution
     mac_full: float
     mac_low: float
 
-
-class ResolutionSchedule(_ResolutionSchedule):
-    """Interleaving policy plus per-resolution inference costs.
-
-    ``P`` low-res frames separate consecutive full-res frames; the full-res
-    fraction is 1 / (1 + P). MAC figures are per-inference totals (any unit,
-    as long as both share it); ``mac_full`` is positive and ``mac_low /
-    mac_full`` finite, all as floats, so the mean and reduction ``mean_mac``
-    reports are finite for every ``P``.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        P: int,
-        full_res: Resolution,
-        low_res: Resolution,
-        mac_full: float,
-        mac_low: float,
-    ) -> ResolutionSchedule:
-        if P < 0:
-            raise ValueError(f"P must be >= 0: {P}")
-        if low_res[0] > full_res[0] or low_res[1] > full_res[1]:
-            raise ValueError(f"low_res {low_res} exceeds full_res {full_res}")
+    def _check(self) -> None:
+        if self.P < 0:
+            raise ValueError(f"P must be >= 0: {self.P}")
+        for res in (self.full_res, self.low_res):
+            if res[0] <= 0 or res[1] <= 0:
+                raise ValueError(f"non-positive resolution: {res}")
+        if self.low_res[0] > self.full_res[0] or self.low_res[1] > self.full_res[1]:
+            raise ValueError(f"low_res {self.low_res} exceeds full_res {self.full_res}")
         try:
-            full, low = float(mac_full), float(mac_low)
+            full, low = float(self.mac_full), float(self.mac_low)
         except OverflowError:  # an int past the float range
             full = low = math.inf
         if not (0 < full < math.inf and 0 <= low < math.inf):
             raise ValueError(
-                f"need finite mac_full > 0 and mac_low >= 0: {mac_full}, {mac_low}"
+                f"need finite mac_full > 0 and mac_low >= 0: {self.mac_full}, {self.mac_low}"
             )
         if not math.isfinite(low / full):
-            raise ValueError(f"need a finite mac_low / mac_full: {mac_low} / {mac_full}")
-        return tuple.__new__(cls, (P, full_res, low_res, mac_full, mac_low))
+            raise ValueError(
+                f"need a finite mac_low / mac_full: {self.mac_low} / {self.mac_full}"
+            )
 
 
 class MacSummary(NamedTuple):

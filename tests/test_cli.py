@@ -895,6 +895,8 @@ class TestYamlTypes:
                      id="history-len-zero"),
         pytest.param({"schedule": {"low_res": [640, 640]}}, "exceeds full_res",
                      id="low-res-over-full-res"),
+        pytest.param({"schedule": {"full_res": [0, 0], "low_res": [0, 0]}},
+                     "non-positive resolution: (0, 0)", id="zero-resolution"),
     ])
     def test_bad_config_value(self, tmp_path, p5_corpus, doc, message):
         self._assert_rejected(tmp_path, p5_corpus, doc, message, [])

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given
@@ -52,8 +53,31 @@ class TestBBox:
         assert BBox(0, 0, 10, 20).area == 200
 
 
-_CHECKED = [BBox, Detection, FramePacket, TrackerConfig, RescoreConfig, ResolutionSchedule,
-            DegradationLevel, SynthScenario]
+# a valid example of each checked record, its defaulted fields at their defaults
+_EXAMPLES = [
+    BBox(0, 0, 1, 2),
+    Detection(BBox(0, 0, 1, 1), 0, 0.5),
+    FramePacket(0, (192, 192), (320, 320)),
+    TrackerConfig(0.5, 0.1),
+    RescoreConfig(),
+    ResolutionSchedule(5, (320, 320), (192, 192), 463.0, 167.0),
+    DegradationLevel((320, 320)),
+    SynthScenario(1, 2, 3, (320, 320), (DegradationLevel((320, 320)),)),
+]
+_CHECKED = [type(example) for example in _EXAMPLES]
+
+# (valid record, one invalid field, the message its checks raise), a row
+# per checked record
+_INVALID = [
+    (_EXAMPLES[0], {"x2": -1}, "inverted box"),
+    (_EXAMPLES[1], {"class_id": -1}, "negative class id"),
+    (_EXAMPLES[2], {"frame_index": -1}, "negative frame index"),
+    (_EXAMPLES[3], {"tau_iou": 1.5}, "tau_iou out of"),
+    (_EXAMPLES[4], {"history_len": 0}, "history_len must be >= 1"),
+    (_EXAMPLES[5], {"P": -1}, "P must be >= 0"),
+    (_EXAMPLES[6], {"drop_prob": 1.5}, "probability out of"),
+    (_EXAMPLES[7], {"n_objects": 0}, "n_objects must be positive"),
+]
 
 
 class TestRecords:
@@ -61,14 +85,30 @@ class TestRecords:
 
     @pytest.mark.parametrize("cls", _CHECKED, ids=lambda c: c.__name__)
     def test_constructor_matches_the_fields(self, cls):
-        # the constructor's parameters and defaults are the NamedTuple's, which
-        # the YAML reader reads
-        code, defaults = cls.__new__.__code__, cls.__new__.__defaults__ or ()
-        assert code.co_varnames[1:code.co_argcount] == cls._fields
-        assert dict(zip(cls._fields[len(cls._fields) - len(defaults):], defaults)) == (
-            cls._field_defaults
-        )
+        # the constructor takes the NamedTuple's fields, by position or by
+        # keyword, and its defaults, which the YAML reader reads
+        example = _EXAMPLES[_CHECKED.index(cls)]
+        assert cls(*example) == example and type(cls(*example)) is cls
+        assert cls(**example._asdict()) == example
+        required = [f for f in cls._fields if f not in cls._field_defaults]
+        built = cls(*example[:len(required)])
+        assert {f: getattr(built, f) for f in cls._field_defaults} == cls._field_defaults
         assert cls.__slots__ == ()
+
+    @pytest.mark.parametrize("cls", [BBox, Detection], ids=lambda c: c.__name__)
+    def test_hand_written_constructor_lists_the_fields(self, cls):
+        code = cls.__new__.__code__
+        assert code.co_varnames[1:code.co_argcount] == cls._fields
+
+    @pytest.mark.parametrize("cls", _CHECKED[2:], ids=lambda c: c.__name__)
+    def test_checked_keeps_the_class_identity(self, cls):
+        base = cls.__mro__[1]
+        assert (cls.__name__, cls.__qualname__, cls.__module__, cls.__doc__) == (
+            base.__name__, base.__qualname__, base.__module__, base.__doc__)
+        # pickle finds the class by module and qualified name, and rebuilds
+        # the record through its constructor
+        example = _EXAMPLES[_CHECKED.index(cls)]
+        assert type(pickle.loads(pickle.dumps(example))) is cls
 
     def test_value_semantics(self):
         box = BBox(0, 0, 1, 2)
@@ -79,14 +119,22 @@ class TestRecords:
             box.x1 = 5
         with pytest.raises(AttributeError):
             box.label = "a"
+        cfg = TrackerConfig(0.5, 0.1)
+        assert repr(cfg) == (
+            "TrackerConfig(high_threshold=0.5, low_threshold=0.1, tau_iou=0.3, "
+            "tau_init=2, tau_dead=5)"
+        )
+        with pytest.raises(AttributeError):
+            cfg.label = "a"
 
     def test_replace_runs_the_checks(self):
         cfg = TrackerConfig(0.5, 0.1)
         assert replace(cfg, tau_iou=0.4) == TrackerConfig(0.5, 0.1, tau_iou=0.4)
-        with pytest.raises(ValueError, match="tau_iou out of"):
-            replace(cfg, tau_iou=1.5)
-        with pytest.raises(ValueError, match="inverted box"):
-            replace(BBox(0, 0, 1, 1), x2=-1)
+        for record, change, message in _INVALID:
+            with pytest.raises(ValueError, match=message):
+                replace(record, **change)
+            # _replace builds without them
+            assert record._replace(**change)._asdict() == {**record._asdict(), **change}
 
 
 class TestIou:

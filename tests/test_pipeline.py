@@ -128,6 +128,8 @@ class TestMeanMac:
             ResolutionSchedule(-1, (320, 320), (192, 192), 1.0, 1.0)
         with pytest.raises(ValueError):
             ResolutionSchedule(0, (192, 192), (320, 320), 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"non-positive resolution: \(320, -5\)"):
+            ResolutionSchedule(1, (320, -5), (192, -9), 1.0, 0.5)
 
 
 class TestStepLifecycle:
