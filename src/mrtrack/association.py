@@ -1,4 +1,5 @@
-"""IoU cost matrices and gated optimal one-to-one matching."""
+"""IoU cost matrices of detections against track boxes (corner rows, which
+the tracker computes once per frame), and gated optimal one-to-one matching."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import Detection
-from .tracks import Track
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,16 +38,16 @@ class MatchResult(NamedTuple):
 SCALAR_MAX_CELLS = 64
 
 
-def iou_matrix(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarray:
-    """N x M matrix of IoU between detection boxes and current track boxes.
+def iou_matrix(dets: Sequence[Detection], boxes: Sequence[tuple]) -> np.ndarray:
+    """N x M matrix of IoU between detection boxes and track boxes.
 
+    ``boxes`` holds one (x1, y1, x2, y2) row per track, unclamped: the
+    tracker passes ``kalman.state_corners`` of each predicted state.
     Matching is class-agnostic: IoU alone decides association and the
-    rescoring step resolves class conflicts afterwards. For a track box
-    inside [-MAX_COORDINATE, MAX_COORDINATE], each entry equals
-    ``core.iou(det.bbox, track.current_box())`` bit for bit: the track
-    corners come from the Kalman means by the arithmetic of
-    ``core.cxcyah_to_bbox``, without its clamp to that range, and the IoU
-    by that of ``core.iou``.
+    rescoring step resolves class conflicts afterwards. Each entry is
+    computed by the arithmetic of ``core.iou``, in its order, so for a row
+    inside [-MAX_COORDINATE, MAX_COORDINATE] it equals
+    ``core.iou(det.bbox, kalman.state_bbox(state))`` bit for bit.
 
     Two paths compute it, chosen by the frame's size: a frame of at most
     ``SCALAR_MAX_CELLS`` (64) detection-track pairs takes a plain loop
@@ -59,25 +59,19 @@ def iou_matrix(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarray
     """
     import numpy as np
 
-    if not dets or not tracks:
+    if not dets or not boxes:
         # a frame with no tracks, or no detections, needs no array set-up
-        return np.zeros((len(dets), len(tracks)))
-    if len(dets) * len(tracks) <= SCALAR_MAX_CELLS:
-        return _iou_scalar(dets, tracks)
-    return _iou_broadcast(dets, tracks)
+        return np.zeros((len(dets), len(boxes)))
+    if len(dets) * len(boxes) <= SCALAR_MAX_CELLS:
+        return _iou_scalar(dets, boxes)
+    return _iou_broadcast(dets, boxes)
 
 
-def _iou_scalar(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarray:
-    """``iou_matrix`` by a loop over pairs, from one (corners, area) row per track."""
+def _iou_scalar(dets: Sequence[Detection], boxes: Sequence[tuple]) -> np.ndarray:
+    """``iou_matrix`` by a loop over pairs."""
     import numpy as np
 
-    table = []
-    for t in tracks:
-        cx, cy, a, h = t.kf_state[:4]
-        h = 0.0 if h < 0.0 else h
-        w = (0.0 if a < 0.0 else a) * h
-        x1, y1, x2, y2 = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
-        table.append((x1, y1, x2, y2, (x2 - x1) * (y2 - y1)))
+    table = [(x1, y1, x2, y2, (x2 - x1) * (y2 - y1)) for x1, y1, x2, y2 in boxes]
     flat = []  # the matrix row by row
     for det in dets:
         # float() is exact for numpy.float64, which synth's boxes hold, and
@@ -97,20 +91,17 @@ def _iou_scalar(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarra
                         flat.append(inter / union)
                         continue
             flat.append(0.0)
-    return np.fromiter(flat, float, len(flat)).reshape(len(dets), len(tracks))
+    return np.fromiter(flat, float, len(flat)).reshape(len(dets), len(boxes))
 
 
-def _iou_broadcast(dets: Sequence[Detection], tracks: Sequence[Track]) -> np.ndarray:
+def _iou_broadcast(dets: Sequence[Detection], boxes: Sequence[tuple]) -> np.ndarray:
     """``iou_matrix`` by numpy broadcasting over the whole frame."""
     import numpy as np
 
-    n, m = len(dets), len(tracks)
+    n, m = len(dets), len(boxes)
     d = np.fromiter(chain.from_iterable(det.bbox for det in dets), float, 4 * n)
-    means = np.fromiter(chain.from_iterable(t.kf_state[:4] for t in tracks), float, 4 * m)
-    cx, cy, a, h = means.reshape(m, 4).T
-    h = np.maximum(h, 0.0)
-    w = np.maximum(a, 0.0) * h
-    tx1, ty1, tx2, ty2 = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+    t = np.fromiter(chain.from_iterable(boxes), float, 4 * m)
+    tx1, ty1, tx2, ty2 = t.reshape(m, 4).T
     dx1, dy1, dx2, dy2 = (col[:, None] for col in d.reshape(n, 4).T)
 
     iw = np.maximum(0.0, np.minimum(dx2, tx2) - np.maximum(dx1, tx1))

@@ -11,7 +11,8 @@ from typing import Sequence
 
 from .core import FramePacket, replace, rescale_packet_to_native
 from .evaluation import (
-    GroundTruthFrame, MetricsReport, Ranked, evaluate, f1_max_threshold, rank_corpus,
+    GRID_STEP_RANGE, GroundTruthFrame, MetricsReport, Ranked, evaluate, f1_max_threshold,
+    rank_corpus,
 )
 from .fileio import (
     FileFormatError,
@@ -54,7 +55,10 @@ def _ranged(convert, ok, expected: str):
 
 _parse_P = _ranged(int, lambda P: P >= 0, "an int >= 0")
 _parse_positive = _ranged(int, lambda n: n > 0, "an int > 0")
-_parse_grid_step = _ranged(float, lambda step: 0.0 < step <= 0.5, "a step in (0, 0.5]")
+_parse_grid_step = _ranged(
+    float, lambda step: GRID_STEP_RANGE[0] <= step <= GRID_STEP_RANGE[1],
+    "a step in [{:g}, {:g}]".format(*GRID_STEP_RANGE),
+)
 _parse_fixed = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
 _parse_tol = _ranged(float, lambda tol: 0.0 <= tol < float("inf"), "a finite value >= 0")
 
@@ -450,6 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="disable confidence fusion (naive tracking mode)",
         )
 
+    def add_threshold_flags(p, threshold_help):
+        p.add_argument(
+            "--threshold", type=_parse_threshold, default=("f1max", None), help=threshold_help
+        )
+        p.add_argument("--grid-step", type=_parse_grid_step, default=0.01)
+
     p = sub.add_parser("track", help="run the tracker over a detection file")
     p.add_argument("detections", help="detection file (JSONL)")
     add_config_flags(p)
@@ -459,13 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score detections or tracks against ground truth")
     p.add_argument("predictions", help="detection or track file (JSONL)")
     p.add_argument("groundtruth", help="ground-truth file (JSONL)")
-    p.add_argument(
-        "--threshold",
-        type=_parse_threshold,
-        default=("f1max", None),
-        help="'f1max' or 'fixed:<value>' (default f1max)",
-    )
-    p.add_argument("--grid-step", type=_parse_grid_step, default=0.01)
+    add_threshold_flags(p, "'f1max' or 'fixed:<value>' (default f1max)")
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_eval)
 
@@ -483,13 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0, 1, 2, 3, 4, 5],
         help="comma-separated P values (default 0,1,2,3,4,5)",
     )
-    p.add_argument(
-        "--threshold",
-        type=_parse_threshold,
-        default=("f1max", None),
-        help="baseline threshold: 'f1max' (at full res) or 'fixed:<value>'",
-    )
-    p.add_argument("--grid-step", type=_parse_grid_step, default=0.01)
+    add_threshold_flags(p, "baseline threshold: 'f1max' (at full res) or 'fixed:<value>'")
     p.add_argument("--out", help="also write rows as JSONL")
     p.set_defaults(func=cmd_sweep)
 

@@ -6,8 +6,9 @@ space of whatever resolution the frame was inferred at; everything is
 normalized to the native (full) resolution before association, via
 ``rescale_bbox`` / ``rescale_packet_to_native``.
 
-The motion filter works in center/aspect-ratio/height space; the
-conversion helpers between the two parameterizations live here.
+The motion filter works in center/aspect-ratio/height space. Its input
+check, ``bbox_to_cxcyah``, lives here, since the loaders apply it to every
+box; the way back, a filter state to a box, is ``kalman.state_bbox``'s.
 
 So does the rule for which box a file may hold, ``out_of_bounds`` and
 ``check_detection_box``: the detection loader and ``synth.generate`` both
@@ -282,22 +283,3 @@ def bbox_to_cxcyah(b: BBox) -> tuple[float, float, float, float]:
             and -_FLOAT_MAX <= a <= _FLOAT_MAX and h <= _FLOAT_MAX):
         raise ValueError(f"box {b.as_tuple()}: non-finite center, aspect or height")
     return cx, cy, a, h
-
-
-def cxcyah_to_bbox(cx: float, cy: float, a: float, h: float) -> BBox:
-    """(center, aspect, height) back to a corner box, clamped non-degenerate
-    and into [-MAX_COORDINATE, MAX_COORDINATE], where a file can hold it."""
-    # max(h, 0.0) and max(a, 0.0), signed zeros included, without two calls
-    h = 0.0 if h < 0.0 else h
-    w = (0.0 if a < 0.0 else a) * h
-    x1, y1, x2, y2 = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
-    # ordered corners inside the range pass every check of BBox.__new__
-    if (-MAX_COORDINATE <= x1 <= x2 <= MAX_COORDINATE
-            and -MAX_COORDINATE <= y1 <= y2 <= MAX_COORDINATE):
-        return _record(BBox, (x1, y1, x2, y2))
-    # x1 <= x2 and y1 <= y2, so these four bound all four corners
-    if not (-MAX_COORDINATE <= x1 and -MAX_COORDINATE <= y1
-            and x2 <= MAX_COORDINATE and y2 <= MAX_COORDINATE):
-        x1, y1, x2, y2 = (min(max(v, -MAX_COORDINATE), MAX_COORDINATE)
-                          for v in (x1, y1, x2, y2))
-    return BBox(x1, y1, x2, y2)

@@ -33,6 +33,9 @@ FrameKey = tuple[str, int]
 GtObject = tuple[BBox, int]
 
 IOU_GATE = 0.5
+# The grid steps ``f1_max_threshold`` accepts, ends included. The floor keeps
+# the grid to ~10^4 points; under 1e-12, rounding repeats points and it never ends.
+GRID_STEP_RANGE = (DEFAULT_EPSILON, 0.5)
 
 
 class GroundTruthFrame(NamedTuple):
@@ -236,8 +239,9 @@ def f1_max_threshold(ranked: Ranked, grid_step: float = 0.01) -> float:
     itself; ties are broken toward the higher threshold. The mean F1 at
     each grid point is ``evaluate``'s, from the same ``class_counts`` rows.
     """
-    if not 0.0 < grid_step <= 0.5:
-        raise ValueError(f"grid_step out of (0, 0.5]: {grid_step}")
+    finest, coarsest = GRID_STEP_RANGE
+    if not finest <= grid_step <= coarsest:
+        raise ValueError(f"grid_step out of [{finest:g}, {coarsest:g}]: {grid_step}")
     if not ranked.n_gt:
         raise ValueError("empty ground truth: F1 sweep undefined")
 

@@ -19,14 +19,15 @@ scale reads the current height estimate.
 The state is plain Python floats, whatever float type the measured boxes
 use: ``core.bbox_to_cxcyah`` converts each corner with ``float()``, which is
 exact for ``numpy.float64``, so the filter never runs numpy scalar
-arithmetic and its values are the same for either input.
+arithmetic and its values are the same for either input. The way back to a
+box is ``state_corners``, which association scores, clamped by ``state_bbox``.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import BBox, bbox_to_cxcyah, cxcyah_to_bbox
+from .core import MAX_COORDINATE, BBox, bbox_to_cxcyah
 
 # height-relative standard deviations (per unit of box height) of the
 # position channels and of the velocity channels
@@ -171,6 +172,27 @@ def kf_update(s: KalmanState, measurement: BBox) -> KalmanState:
     ))
 
 
+def state_corners(s: KalmanState) -> tuple[float, float, float, float]:
+    """(x1, y1, x2, y2) of the state mean, unclamped. A height or aspect
+    below 0 counts as 0; ``-0.0`` stays ``-0.0``, as ``max(v, 0.0)`` keeps it."""
+    cx, cy, a, h = s[:4]
+    h = 0.0 if h < 0.0 else h
+    half_w, half_h = (0.0 if a < 0.0 else a) * h / 2.0, h / 2.0
+    return cx - half_w, cy - half_h, cx + half_w, cy + half_h
+
+
 def state_bbox(s: KalmanState) -> BBox:
-    """Corner-format box of the current state mean."""
-    return cxcyah_to_bbox(s[0], s[1], s[2], s[3])
+    """``state_corners`` as a checked BBox, each corner clamped into
+    [-MAX_COORDINATE, MAX_COORDINATE], where a file can hold it; a NaN or
+    infinite mean that leaves a corner NaN raises ValueError."""
+    x1, y1, x2, y2 = state_corners(s)
+    # ordered corners inside the range pass every check of BBox.__new__
+    if (-MAX_COORDINATE <= x1 <= x2 <= MAX_COORDINATE
+            and -MAX_COORDINATE <= y1 <= y2 <= MAX_COORDINATE):
+        return _record(BBox, (x1, y1, x2, y2))
+    # x1 <= x2 and y1 <= y2, so these four bound all four corners
+    if not (-MAX_COORDINATE <= x1 and -MAX_COORDINATE <= y1
+            and x2 <= MAX_COORDINATE and y2 <= MAX_COORDINATE):
+        x1, y1, x2, y2 = (min(max(v, -MAX_COORDINATE), MAX_COORDINATE)
+                          for v in (x1, y1, x2, y2))
+    return BBox(x1, y1, x2, y2)

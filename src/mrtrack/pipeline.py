@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 from .association import iou_matrix, match
 from .core import Detection, FramePacket, RescoreConfig, Resolution, TrackerConfig, checked
-from .kalman import kf_predict, kf_update
+from .kalman import kf_predict, kf_update, state_corners
 from .rescore import adopt, rescore_update
 from .tracks import Track, TrackOutput, TrackStatus
 
@@ -143,9 +143,10 @@ def step(
     Expects frame indices contiguous from 0 and detection boxes already in
     native-resolution coordinates. Detections below ``low_threshold`` are
     dropped; those at or above ``high_threshold`` are matched first, against
-    every active track, and may start new tracks; the band in between is
-    matched second, against the tracks the first pass left, and can only
-    extend them; that pass runs only when the band has detections, and
+    every active track's predicted corners (``state_corners``, computed once
+    per frame), and may start new tracks; the band in between is matched
+    second, against the corners of the tracks the first pass left, and can
+    only extend them; that pass runs only when the band has detections, and
     otherwise every track the first pass left is marked missed at once.
     Ids are handed out in creation order and ``active_tracks`` keeps that
     order, so each frame's outputs come in ascending id order.
@@ -154,11 +155,11 @@ def step(
     predicted boxes (until removed after ``tau_dead`` missed frames);
     otherwise only tracks updated this frame are emitted. Nothing floors a
     coasting height: it follows ``h + vh``, so a shrinking track's height
-    can pass 0, and ``cxcyah_to_bbox`` then clamps the emitted box to zero
-    height and width at the predicted center. Such boxes are emitted until
-    ``tau_dead``; the Kalman mean stays finite. Nor does anything bound a
-    coasting center, so ``cxcyah_to_bbox`` also clamps each emitted corner
-    into [-MAX_COORDINATE, MAX_COORDINATE], the range the loaders accept.
+    can pass 0, and ``state_corners`` then gives zero height and width at
+    the predicted center. Such boxes are emitted until ``tau_dead``; the
+    Kalman mean stays finite. Nor does anything bound a coasting center, so
+    ``kalman.state_bbox`` clamps each emitted corner into
+    [-MAX_COORDINATE, MAX_COORDINATE], the range the loaders accept.
     """
     if frame.frame_index != state.frame_index + 1:
         raise ValueError(
@@ -166,9 +167,10 @@ def step(
             f"expected {state.frame_index + 1}"
         )
 
-    tracks = state.active_tracks
+    tracks, boxes = state.active_tracks, []
     for t in tracks:
-        t.kf_state = kf_predict(t.kf_state)
+        t.kf_state = s = kf_predict(t.kf_state)
+        boxes.append(state_corners(s))
 
     high, low = tcfg.high_threshold, tcfg.low_threshold
     d_high, d_rem = [], []
@@ -178,17 +180,17 @@ def step(
         elif d.conf >= low:
             d_rem.append(d)
 
-    first = match(iou_matrix(d_high, tracks), tcfg.tau_iou)
+    first = match(iou_matrix(d_high, boxes), tcfg.tau_iou)
     for di, tj in first.matches:
         _apply_match(tracks[tj], d_high[di], tcfg, rcfg, rescore_enabled)
-    left = [tracks[j] for j in first.unmatched_trackers]
+    left = first.unmatched_trackers
     if d_rem:
-        second = match(iou_matrix(d_rem, left), tcfg.tau_iou)
+        second = match(iou_matrix(d_rem, [boxes[j] for j in left]), tcfg.tau_iou)
         for di, tj in second.matches:
-            _apply_match(left[tj], d_rem[di], tcfg, rcfg, rescore_enabled)
+            _apply_match(tracks[left[tj]], d_rem[di], tcfg, rcfg, rescore_enabled)
         left = [left[j] for j in second.unmatched_trackers]
-    for t in left:
-        t.mark_missed(tcfg.tau_dead)
+    for j in left:
+        tracks[j].mark_missed(tcfg.tau_dead)
 
     for di in first.unmatched_detections:
         tracks.append(Track.from_detection(state.next_track_id, d_high[di], tcfg.tau_init))

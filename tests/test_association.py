@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from mrtrack import association
 from mrtrack.association import iou_matrix, match
 from mrtrack.core import BBox, Detection, iou
-from mrtrack.tracks import Track
+from mrtrack.kalman import KalmanState, state_bbox, state_corners
 
 from oracles import brute_force_assignment_value, lsap_match_oracle, subset_assignment_value
 
@@ -18,36 +18,34 @@ def _det(x1, y1, x2, y2, cls=0, conf=0.9):
     return Detection(BBox(x1, y1, x2, y2), cls, conf)
 
 
-def _track(x1, y1, x2, y2, track_id=0):
-    return Track.from_detection(track_id, _det(x1, y1, x2, y2), tau_init=2)
-
-
 def _total(matrix, result):
     return sum(matrix[i, j] for i, j in result.matches)
 
 
 class TestIouMatrix:
     def test_empty_detections(self):
-        tracks = [_track(0, 0, 10, 10, i) for i in range(3)]
-        assert iou_matrix([], tracks).shape == (0, 3)
+        assert iou_matrix([], [(0.0, 0.0, 10.0, 10.0)] * 3).shape == (0, 3)
 
     def test_empty_tracks(self):
         assert iou_matrix([_det(0, 0, 10, 10)], []).shape == (1, 0)
 
     def test_identical_box_entry(self):
-        m = iou_matrix([_det(0, 0, 10, 10)], [_track(0, 0, 10, 10)])
+        m = iou_matrix([_det(0, 0, 10, 10)], [(0.0, 0.0, 10.0, 10.0)])
         assert m[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_overlap_entry(self):
-        m = iou_matrix([_det(0, 0, 10, 10)], [_track(5, 5, 15, 15)])
+        m = iou_matrix([_det(0, 0, 10, 10)], [(5.0, 5.0, 15.0, 15.0)])
         assert m[0, 0] == pytest.approx(25 / 175, abs=1e-9)
 
 
-def _track_at(cx, cy, a, h, track_id=0):
-    """A track whose Kalman mean is (cx, cy, a, h); h <= 0 or a <= 0 is allowed."""
-    t = _track(0, 0, 1, 1, track_id)
-    t.kf_state = t.kf_state._replace(cx=cx, cy=cy, a=a, h=h)
-    return t
+def _state(cx, cy, a, h):
+    """A filter state whose mean is (cx, cy, a, h); h <= 0 or a <= 0 is allowed."""
+    return KalmanState._make((cx, cy, a, h) + (0.0,) * 16)
+
+
+def _corners(means):
+    """The track table of these means: one ``state_corners`` row each."""
+    return [state_corners(_state(*m)) for m in means]
 
 
 # small integer grid so identical, touching and disjoint boxes are common
@@ -84,11 +82,11 @@ class TestIouMatrixEqualsScalarIou:
     @example(*_diagonal(8, 8))  # 64 pairs: the largest frame of the scalar path
     @example(*_diagonal(5, 13))  # 65 pairs: the smallest of the broadcast
     def test_bit_identical_to_scalar_loop(self, dets, means):
-        tracks = [_track_at(*m, track_id=i) for i, m in enumerate(means)]
+        states = [_state(*m) for m in means]
         want = np.array(
-            [[iou(d.bbox, t.current_box()) for t in tracks] for d in dets]
-        ).reshape(len(dets), len(tracks))
-        got = iou_matrix(dets, tracks)
+            [[iou(d.bbox, state_bbox(s)) for s in states] for d in dets]
+        ).reshape(len(dets), len(states))
+        got = iou_matrix(dets, [state_corners(s) for s in states])
         assert isinstance(got, np.ndarray)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -98,10 +96,10 @@ class TestIouMatrixPaths:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(_det_box, min_size=1, max_size=12), st.lists(_mean, min_size=1, max_size=12))
     def test_scalar_and_broadcast_agree(self, dets, means):
-        tracks = [_track_at(*m, track_id=i) for i, m in enumerate(means)]
-        scalar = association._iou_scalar(dets, tracks)
-        assert scalar.shape == (len(dets), len(tracks))
-        assert np.array_equal(scalar, association._iou_broadcast(dets, tracks))
+        boxes = _corners(means)
+        scalar = association._iou_scalar(dets, boxes)
+        assert scalar.shape == (len(dets), len(boxes))
+        assert np.array_equal(scalar, association._iou_broadcast(dets, boxes))
 
     def test_frame_size_selects_path(self, monkeypatch):
         taken = []
@@ -112,7 +110,7 @@ class TestIouMatrixPaths:
             )
         for n_dets, n_tracks in ((8, 8), (5, 13)):
             dets, means = _diagonal(n_dets, n_tracks)
-            iou_matrix(dets, [_track_at(*m) for m in means])
+            iou_matrix(dets, _corners(means))
         assert association.SCALAR_MAX_CELLS == 64
         assert taken == ["_iou_scalar", "_iou_broadcast"]
 

@@ -587,6 +587,7 @@ class TestArgumentChecks:
             ["sweep", "f.jsonl", "l.jsonl", "g.jsonl", "--P-values", "-1"],
             ["eval", "p.jsonl", "g.jsonl", "--grid-step", "0"],
             ["eval", "p.jsonl", "g.jsonl", "--grid-step", "nan"],
+            ["eval", "p.jsonl", "g.jsonl", "--grid-step", "1e-13"],
             ["eval", "p.jsonl", "g.jsonl", "--threshold", "fixed:nan"],
             ["attn-check", "--tol", "nan"],
             ["attn-check", "--tol", "-1"],
@@ -594,8 +595,8 @@ class TestArgumentChecks:
             ["attn-check", "--n-values", "1,x"],
         ],
         ids=["track-P", "synth-P", "sweep-P-values", "grid-step-0", "grid-step-nan",
-             "threshold-nan", "tol-nan", "tol-negative", "sweep-P-values-not-int",
-             "n-values-not-int"],
+             "grid-step-under-floor", "threshold-nan", "tol-nan", "tol-negative",
+             "sweep-P-values-not-int", "n-values-not-int"],
     )
     def test_rejected_at_parse_time(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,11 +2,10 @@ import math
 import pickle
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mrtrack.core import (
-    MAX_COORDINATE,
     MIN_HEIGHT,
     BBox,
     Detection,
@@ -15,7 +14,6 @@ from mrtrack.core import (
     TrackerConfig,
     bbox_to_cxcyah,
     clamp_conf,
-    cxcyah_to_bbox,
     iou,
     replace,
     rescale_bbox,
@@ -282,43 +280,3 @@ class TestBoxToFilterSpace:
     def test_finite_box_that_overflows(self, box):
         with pytest.raises(ValueError, match=r": non-finite center, aspect or height$"):
             bbox_to_cxcyah(box)
-
-
-class TestFilterSpaceToBox:
-    """``cxcyah_to_bbox``: a checked BBox, clamped into the loaders' range."""
-
-    @given(
-        st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1, 10), st.floats(-10, 1e3)
-    )
-    @example(0.0, 0.0, -0.0, -0.0)
-    @example(-0.0, -0.0, 0.0, 0.0)
-    def test_in_range_equals_checked_box(self, cx, cy, a, h):
-        got = cxcyah_to_bbox(cx, cy, a, h)
-        h = max(h, 0.0)
-        w = max(a, 0.0) * h
-        want = BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-        assert type(got) is BBox
-        assert got == want
-        # signed zeros too, which == does not tell apart
-        assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
-
-    def test_clamps_into_range(self):
-        m = MAX_COORDINATE
-        assert cxcyah_to_bbox(2e100, -2e100, 1.0, 2.0) == BBox(m, -m, m, -m)
-        assert cxcyah_to_bbox(0.0, 0.0, 1.0, 4e100) == BBox(-m, -m, m, m)
-        assert cxcyah_to_bbox(math.inf, 0.0, 1.0, 1.0) == BBox(m, -0.5, m, 0.5)
-
-    @pytest.mark.parametrize(
-        "mean",
-        [
-            (math.nan, 0.0, 1.0, 1.0),
-            (0.0, math.nan, 1.0, 1.0),
-            (0.0, 0.0, math.nan, 1.0),
-            (0.0, 0.0, 1.0, math.nan),
-            (0.0, 0.0, math.inf, 0.0),  # inf * 0 width
-            (math.inf, 0.0, 1.0, math.inf),  # inf - inf corner
-        ],
-    )
-    def test_nan_or_inf_mean_raises(self, mean):
-        with pytest.raises(ValueError, match="non-finite box coordinate"):
-            cxcyah_to_bbox(*mean)

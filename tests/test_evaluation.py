@@ -236,6 +236,13 @@ class TestF1MaxThreshold:
         with pytest.raises(ValueError):
             f1_max_threshold(rank_corpus({("a", 0): [_det(0, 0)]}, {("a", 0): []}), 0.1)
 
+    def test_step_under_the_floor_is_an_error(self):
+        # the floor, 1e-4, keeps the grid to ~10^4 points
+        ranked = rank_corpus({("a", 0): [_det(0, 0)]}, {("a", 0): [_gt(0, 0)]})
+        with pytest.raises(ValueError, match="grid_step out of"):
+            f1_max_threshold(ranked, 5e-5)
+        assert f1_max_threshold(ranked, 1e-4) == pytest.approx(0.9)
+
     def test_matches_brute_force_on_planted_corpus(self):
         # plant: TPs at high confidence, FPs concentrated below 0.55
         rng = np.random.default_rng(13)

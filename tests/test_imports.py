@@ -57,3 +57,46 @@ def test_scan_sees_unused_and_string_annotation_reads():
     )
     # a stored name is not a read, so ``os`` stays unused
     assert _unused_imports(source) == ["os (line 2)", "osp (line 2)"]
+
+
+def _package_imports(source: str) -> set[str]:
+    """The ``mrtrack`` modules a module's source imports, by their last name:
+    ``from .core import x`` and ``import mrtrack.core`` give ``core``, and
+    ``from . import tracks`` or ``from mrtrack import tracks`` give ``tracks``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = ("mrtrack." + (node.module or "")).rstrip(".") if node.level else node.module
+            dotted = [package]
+            if package == "mrtrack":
+                dotted = [f"{package}.{a.name}" for a in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in dotted if name.startswith("mrtrack."))
+    return found
+
+
+def test_association_scores_boxes_not_tracks():
+    """``association`` reads only ``core``: the tracker hands it corner rows,
+    so it imports no track, filter or pipeline module."""
+    source = (ROOT / "src" / "mrtrack" / "association.py").read_text(encoding="utf-8")
+    assert _package_imports(source) == {"core"}
+
+
+def test_package_import_scan_sees_every_form():
+    source = (
+        "import numpy, mrtrack.kalman\n"
+        "from .core import BBox\n"
+        "from . import tracks\n"
+        "from mrtrack import pipeline\n"
+        "from mrtrack.rescore import adopt\n"
+        "if TYPE_CHECKING:\n"
+        "    from .fileio import RunConfig\n"
+        "def f():\n"
+        "    from .synth import generate\n"
+    )
+    assert _package_imports(source) == {
+        "kalman", "core", "tracks", "pipeline", "rescore", "fileio", "synth",
+    }

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrtrack.core import MIN_HEIGHT, BBox
-from mrtrack.kalman import kf_init, kf_predict, kf_update, state_bbox
+from mrtrack.core import MAX_COORDINATE, MIN_HEIGHT, BBox
+from mrtrack.kalman import KalmanState, kf_init, kf_predict, kf_update, state_bbox, state_corners
 
 from oracles import (
     covariance,
@@ -231,3 +233,72 @@ class TestWrittenOutBlocksMatchOracle:
                 s = kf_update(s, box(op))
                 o = kf_blocks_update(o, box(op).as_tuple())
             assert _bits(s) == _bits(_flat(o))
+
+
+def _state(cx, cy, a, h):
+    """A filter state whose mean is (cx, cy, a, h); h <= 0 or a <= 0 is allowed."""
+    return KalmanState._make((cx, cy, a, h) + (0.0,) * 16)
+
+
+def _signs(values):
+    """Each value's sign bit, which == does not tell apart on zeros."""
+    return [math.copysign(1.0, v) for v in values]
+
+
+class TestFilterSpaceToBox:
+    """``state_bbox``: a checked BBox, clamped into the loaders' range."""
+
+    @given(
+        st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1, 10), st.floats(-10, 1e3)
+    )
+    @example(0.0, 0.0, -0.0, -0.0)
+    @example(-0.0, -0.0, 0.0, 0.0)
+    def test_in_range_equals_checked_box(self, cx, cy, a, h):
+        got = state_bbox(_state(cx, cy, a, h))
+        h = max(h, 0.0)
+        w = max(a, 0.0) * h
+        want = BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+        assert type(got) is BBox
+        assert got == want
+        assert _signs(got) == _signs(want)
+
+    def test_clamps_into_range(self):
+        m = MAX_COORDINATE
+        assert state_bbox(_state(2e100, -2e100, 1.0, 2.0)) == BBox(m, -m, m, -m)
+        assert state_bbox(_state(0.0, 0.0, 1.0, 4e100)) == BBox(-m, -m, m, m)
+        assert state_bbox(_state(math.inf, 0.0, 1.0, 1.0)) == BBox(m, -0.5, m, 0.5)
+
+    @pytest.mark.parametrize(
+        "mean",
+        [
+            (math.nan, 0.0, 1.0, 1.0),
+            (0.0, math.nan, 1.0, 1.0),
+            (0.0, 0.0, math.nan, 1.0),
+            (0.0, 0.0, 1.0, math.nan),
+            (0.0, 0.0, math.inf, 0.0),  # inf * 0 width
+            (math.inf, 0.0, 1.0, math.inf),  # inf - inf corner
+        ],
+    )
+    def test_nan_or_inf_mean_raises(self, mean):
+        with pytest.raises(ValueError, match="non-finite box coordinate"):
+            state_bbox(_state(*mean))
+
+    @given(
+        st.floats(-2e100, 2e100), st.floats(-2e100, 2e100),
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 10)),
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10, 4e100)),
+    )
+    @example(0.0, 0.0, -0.0, -0.0)
+    @example(-0.0, -0.0, 0.0, 0.0)
+    @example(1e100, 0.0, 1.0, 2e90)  # x2 just past the range
+    def test_corners_are_the_box_where_no_clamp_applies(self, cx, cy, a, h):
+        """``state_corners`` is ``state_bbox`` without its clamp: the same
+        corners, signed zeros included, wherever all four are in range."""
+        s = _state(cx, cy, a, h)
+        corners, box = state_corners(s), state_bbox(s)
+        if max(map(abs, corners)) <= MAX_COORDINATE:
+            assert corners == tuple(box)
+            assert _signs(corners) == _signs(box)
+        else:
+            assert tuple(box) == tuple(min(max(v, -MAX_COORDINATE), MAX_COORDINATE)
+                                       for v in corners)

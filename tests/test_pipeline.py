@@ -12,6 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mrtrack import pipeline
+from mrtrack.association import iou_matrix
 from mrtrack.cli import EXIT_OK, main
 from mrtrack.core import (
     MAX_COORDINATE,
@@ -32,6 +34,7 @@ from mrtrack.fileio import (
     save_scenario,
     save_track_file,
 )
+from mrtrack.kalman import kf_predict, state_corners
 from mrtrack.pipeline import (
     ResolutionSchedule,
     TrackerState,
@@ -214,7 +217,7 @@ class TestStepLifecycle:
 
     def test_coasting_through_zero_height_emits_clamped_boxes(self, tmp_path):
         # the height shrinks 16 px a frame, so coasting drives it below 0;
-        # cxcyah_to_bbox clamps the emitted box to a zero-size point
+        # state_bbox clamps the emitted box to a zero-size point
         state, emitted = TrackerState(), {}
         boxes = [BBox(100, 100, 140, 100 + h) for h in (80, 64, 48, 32)]
         for t in range(4 + TCFG.tau_dead):
@@ -303,6 +306,29 @@ class TestStepTracking:
         track = state.active_tracks[0]
         assert track.class_id == 2
         assert track.conf == pytest.approx(0.5)
+
+    def test_passes_score_the_predicted_corners(self, monkeypatch):
+        """The first pass scores every track's predicted corners, the second
+        only the rows of the tracks the first pass left."""
+        scored = []
+
+        def recording(dets, boxes):
+            scored.append(list(boxes))
+            return iou_matrix(dets, boxes)
+
+        monkeypatch.setattr(pipeline, "iou_matrix", recording)
+        state = TrackerState()
+        for t in range(3):
+            dets = [_det(10 + 3 * t, 10), _det(100 + 3 * t, 100), _det(200 + 3 * t, 200)]
+            state, _ = step(state, _packet(t, dets), TCFG, RCFG)
+        before = [track.kf_state for track in state.active_tracks]
+        scored.clear()
+        # track 1 gets a high-confidence detection, track 2 a medium-band one
+        dets = [_det(109, 100), _det(209, 200, conf=0.35)]
+        state, _ = step(state, _packet(3, dets), TCFG, RCFG)
+        predicted = [state_corners(kf_predict(s)) for s in before]
+        assert scored == [predicted, [predicted[0], predicted[2]]]
+        assert [track.frames_since_update for track in state.active_tracks] == [1, 0, 0]
 
     def test_deterministic_replay(self):
         frames = [
