@@ -12,7 +12,7 @@ import sys
 
 from mrtrack.cli import sweep_reports, tracked_reports
 from mrtrack.core import rescale_packet_to_native, replace
-from mrtrack.fileio import preset_config
+from mrtrack.fileio import load_run_config
 from mrtrack.synth import generate, profile_scenario
 
 
@@ -24,7 +24,7 @@ def main() -> int:
     parser.add_argument("--frames", type=int, default=240)
     args = parser.parse_args()
 
-    cfg = preset_config(args.preset, P=args.P)
+    cfg = load_run_config(preset=args.preset, P=args.P)
     scenario = profile_scenario("vit-like", seed=args.seed, frame_count=args.frames)
     gt_frames, emulate = generate(scenario)
     full, low = (

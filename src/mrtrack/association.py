@@ -74,9 +74,7 @@ def _iou_scalar(dets: Sequence[Detection], boxes: Sequence[tuple]) -> np.ndarray
     table = [(x1, y1, x2, y2, (x2 - x1) * (y2 - y1)) for x1, y1, x2, y2 in boxes]
     flat = []  # the matrix row by row
     for det in dets:
-        # float() is exact for numpy.float64, which synth's boxes hold, and
-        # keeps the loop off numpy's slow scalar arithmetic
-        x1, y1, x2, y2 = map(float, det.bbox)
+        x1, y1, x2, y2 = det.bbox
         area = (x2 - x1) * (y2 - y1)
         for tx1, ty1, tx2, ty2, t_area in table:
             # min() and max() written out, which is the same choice (signed

@@ -63,11 +63,12 @@ _parse_fixed = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
 _parse_tol = _ranged(float, lambda tol: 0.0 <= tol < float("inf"), "a finite value >= 0")
 
 
-def _parse_threshold(spec: str) -> tuple[str, float | None]:
+def _parse_threshold(spec: str) -> float | None:
+    """A fixed threshold, or None for the F1-max one."""
     if spec == "f1max":
-        return ("f1max", None)
+        return None
     if spec.startswith("fixed:"):
-        return ("fixed", _parse_fixed(spec.split(":", 1)[1]))
+        return _parse_fixed(spec.split(":", 1)[1])
     raise argparse.ArgumentTypeError(
         f"expected 'f1max' or 'fixed:<value>', got {spec!r}"
     )
@@ -231,8 +232,8 @@ def cmd_eval(args) -> int:
     # every loaded sequence has at least one frame, so it has a key in dets
     _check_sequences_covered({seq for seq, _ in dets}, gt_data.keys())
     ranked = rank_corpus(dets, _gt_for_eval(gt_data))
-    kind, thr = args.threshold
-    if kind == "f1max":
+    thr = args.threshold
+    if thr is None:
         thr = _f1max_threshold(ranked, args.grid_step, args.groundtruth)
     report = evaluate(ranked, thr)
     print(render_report(report))
@@ -251,15 +252,16 @@ def sweep_reports(
     gt_sequences: dict[str, list[GroundTruthFrame]],
     cfg: RunConfig,
     P_values: Sequence[int],
-    threshold=("f1max", None),
+    threshold=None,
     grid_step=0.01,
     gt_path="ground truth",
 ) -> tuple[float, list[tuple[MetricsReport, MetricsReport]]]:
     """Score the interleaved stream at each P, frame by frame and tracked.
 
     ``full`` and ``low`` hold native-coordinate packets of the same frames.
-    The baseline threshold (``--threshold`` as parsed) is resolved once, from
-    the full-resolution detections. Returns it with a (baseline, tracked)
+    The baseline threshold is ``threshold`` (``--threshold`` as parsed) or,
+    when that is None, the F1-max threshold of the full-resolution
+    detections, resolved once. Returns it with a (baseline, tracked)
     report pair per P: the interleaved detections at that threshold, and
     ``tracked_reports``'s report.
     """
@@ -267,15 +269,14 @@ def sweep_reports(
     _check_streams(full, low)
     _check_sequences_covered(full.keys(), gt_sequences.keys())
     gts = _gt_for_eval(gt_sequences)
-    kind, thr = threshold
-    if kind == "f1max":
-        thr = _f1max_threshold(rank_corpus(_dets_for_eval(full), gts), grid_step, gt_path)
+    if threshold is None:
+        threshold = _f1max_threshold(rank_corpus(_dets_for_eval(full), gts), grid_step, gt_path)
 
     baselines = [
-        evaluate(rank_corpus(_dets_for_eval(_interleave(full, low, P)), gts), thr)
+        evaluate(rank_corpus(_dets_for_eval(_interleave(full, low, P)), gts), threshold)
         for P in P_values
     ]
-    return thr, list(zip(baselines, tracked_reports(full, low, gt_sequences, cfg, P_values)))
+    return threshold, list(zip(baselines, tracked_reports(full, low, gt_sequences, cfg, P_values)))
 
 
 def tracked_reports(
@@ -456,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threshold_flags(p, threshold_help):
         p.add_argument(
-            "--threshold", type=_parse_threshold, default=("f1max", None), help=threshold_help
+            "--threshold", type=_parse_threshold, default=None, help=threshold_help
         )
         p.add_argument("--grid-step", type=_parse_grid_step, default=0.01)
 

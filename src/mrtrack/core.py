@@ -266,8 +266,8 @@ def bbox_to_cxcyah(b: BBox) -> tuple[float, float, float, float]:
 
     The motion filter's one input check: a ValueError unless the height is
     at least ``MIN_HEIGHT`` and all four are finite. Zero width gives aspect 0.
-    Each corner is converted with ``float()`` first, which is exact for
-    ``numpy.float64``, so the result is plain floats whatever ``b`` holds.
+    Each corner is converted with ``float()`` first, so the result is plain
+    floats whatever number type ``b`` holds, ints included.
     """
     x1, y1, x2, y2 = float(b.x1), float(b.y1), float(b.x2), float(b.y2)
     h = y2 - y1

@@ -311,7 +311,7 @@ _PRESET_TABLE = {
 PRESET_NAMES = tuple(sorted(_PRESET_TABLE))
 
 
-def preset_config(name: str, P: int | None = None) -> RunConfig:
+def preset_config(name: str) -> RunConfig:
     """Built-in configuration for one of the supported detector presets."""
     if name not in _PRESET_TABLE:
         raise ValidationError(
@@ -322,7 +322,7 @@ def preset_config(name: str, P: int | None = None) -> RunConfig:
         tracker=TrackerConfig(high_threshold=row["high"], low_threshold=row["low"]),
         rescore=RescoreConfig(),
         schedule=ResolutionSchedule(
-            P=row["P"] if P is None else P,
+            P=row["P"],
             full_res=(320, 320),
             low_res=(192, 192),
             mac_full=row["mac_full"],

@@ -16,11 +16,8 @@ through every predict and update, so the state keeps just each block's
 written out block by block. The blocks still share one input: every noise
 scale reads the current height estimate.
 
-The state is plain Python floats, whatever float type the measured boxes
-use: ``core.bbox_to_cxcyah`` converts each corner with ``float()``, which is
-exact for ``numpy.float64``, so the filter never runs numpy scalar
-arithmetic and its values are the same for either input. The way back to a
-box is ``state_corners``, which association scores, clamped by ``state_bbox``.
+The state is plain Python floats, and the way back to a box is
+``state_corners``, which association scores, clamped by ``state_bbox``.
 """
 
 from __future__ import annotations

@@ -165,11 +165,7 @@ def run_attention_checks(
     report = CheckReport()
     rng = np.random.default_rng(seed)
 
-    single = AttentionInput(
-        q=np.abs(rng.standard_normal((1, d))),
-        k=np.abs(rng.standard_normal((1, d))),
-        v=rng.standard_normal((1, d)),
-    )
+    single = random_attention_input(rng, 1, d, d)
     out = factored_fn(single)
     report.record(
         bool(np.allclose(out, single.v, rtol=0, atol=1e-12)),

@@ -151,7 +151,7 @@ def _build_trajectories(sc: SynthScenario) -> list[_Trajectory]:
         cy = float(rng.uniform(h / 2, height - h / 2))
         speed = float(rng.uniform(*sc.speed_range))
         angle = float(rng.uniform(0, 2 * np.pi))
-        vx, vy = speed * np.cos(angle), speed * np.sin(angle)
+        vx, vy = speed * float(np.cos(angle)), speed * float(np.sin(angle))
         # cycle classes so every class has ground truth (balanced corpus)
         class_id = index % sc.n_classes
         base_conf = float(rng.uniform(*sc.base_conf_range))
@@ -161,7 +161,7 @@ def _build_trajectories(sc: SynthScenario) -> list[_Trajectory]:
             boxes.append(BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
             if sc.direction_change_prob > 0 and rng.random() < sc.direction_change_prob:
                 angle = float(rng.uniform(0, 2 * np.pi))
-                vx, vy = speed * np.cos(angle), speed * np.sin(angle)
+                vx, vy = speed * float(np.cos(angle)), speed * float(np.sin(angle))
             cx += vx
             cy += vy
             # bounce off the frame borders, keeping the box inside
@@ -185,8 +185,6 @@ def _check_loadable(box: BBox, frame: int, inference, native) -> None:
     """A ValueError naming the frame unless ``box`` passes the checks of the
     loader that reads it: the bound of every box parser and, for a detection
     (``inference`` is not None), ``check_detection_box``."""
-    # plain floats, as a loaded file's, so a message prints plain numbers
-    box = BBox(*map(float, box.as_tuple()))
     try:
         if out_of_bounds(box):
             raise ValueError(f"box {box.as_tuple()} has a coordinate over {MAX_COORDINATE:g}")
@@ -234,12 +232,12 @@ def generate(
                 flip_u = rng.random()
                 flip_pick = int(rng.integers(0, max(sc.n_classes - 1, 1)))
                 conf_noise = rng.normal(0.0, 1.0)
-                jitter = rng.normal(0.0, 1.0, size=4)
+                jitter = rng.normal(0.0, 1.0, size=4).tolist()
                 if drop_u < level.drop_prob:
                     continue
                 box = rescale_bbox(traj.boxes[t], sc.native_resolution, resolution)
                 if level.bbox_jitter_std > 0:
-                    j = jitter * level.bbox_jitter_std
+                    j = [v * level.bbox_jitter_std for v in jitter]
                     x1, y1 = box.x1 + j[0], box.y1 + j[1]
                     x2, y2 = box.x2 + j[2], box.y2 + j[3]
                     box = BBox(

@@ -21,6 +21,7 @@ from mrtrack.cli import EXIT_OK, EXIT_PARSE, EXIT_SUITE, EXIT_VALIDATION, build_
 from mrtrack.core import BBox, Detection, FramePacket, RescoreConfig, TrackerConfig, replace
 from mrtrack.fileio import (
     load_track_file,
+    report_to_dict,
     save_detection_file,
     save_groundtruth_file,
     save_scenario,
@@ -342,6 +343,20 @@ class TestEvalCommand:
         assert rc == EXIT_VALIDATION
         assert f"{gt_empty}: no ground-truth objects" in capsys.readouterr().err
 
+    def test_fixed_zero_is_not_f1max(self, tmp_path, corpus, capsys):
+        # 0.0 is falsy: the F1-max threshold of this corpus is 0.9
+        dets, gt = corpus
+        report = tmp_path / "report.json"
+        assert main(["eval", str(dets), str(gt), "--threshold", "fixed:0",
+                     "--out", str(report)]) == EXIT_OK
+        ranked = evaluation.rank_corpus(
+            {("s", p.frame_index): list(p.detections) for p in _cv_packets()},
+            {("s", g.frame_index): list(g.objects) for g in _gt_frames()},
+        )
+        want = json.loads(json.dumps(report_to_dict(evaluation.evaluate(ranked, 0.0))))
+        assert json.loads(report.read_text()) == want
+        assert capsys.readouterr().out.startswith("threshold: 0.0000\n")
+
     def test_bad_threshold_spec_is_usage_error(self, corpus):
         dets, gt = corpus
         with pytest.raises(SystemExit) as exc:
@@ -454,6 +469,14 @@ class TestSweepCommand:
         row0 = next(r for r in rows if r["P"] == 0)
         assert row0["mean_mac"] == pytest.approx(463.0)
 
+    def test_fixed_zero_is_not_f1max(self, tmp_path, corpus, capsys):
+        full, gt = corpus
+        low = tmp_path / "low.jsonl"
+        save_detection_file(low, {"s": _cv_packets(res=(192, 192))})
+        rc = main(["sweep", str(full), str(low), str(gt), "--preset", "nanodet",
+                   "--P-values", "0", "--threshold", "fixed:0"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.startswith("baseline threshold: 0.0000\n")
 
     def test_empty_groundtruth_under_f1max_is_validation_error(
         self, tmp_path, corpus, capsys
@@ -608,7 +631,7 @@ class TestArgumentChecks:
         args = build_parser().parse_args(
             ["eval", "p.jsonl", "g.jsonl", "--threshold", "fixed:1", "--grid-step", "0.5"]
         )
-        assert (args.threshold, args.grid_step) == (("fixed", 1.0), 0.5)
+        assert (args.threshold, args.grid_step) == (1.0, 0.5)
         args = build_parser().parse_args(["sweep", "f", "l", "g", "--P-values", "0,5"])
         assert args.P_values == [0, 5]
 

@@ -1,7 +1,7 @@
 """No leftover imports: every name a module imports is read in that module.
 
-An AST scan of the package and the example scripts, so moving names between
-modules cannot leave a stale import behind without a linter.
+An AST scan of the package, the example scripts and the tests, so moving
+names between modules cannot leave a stale import behind without a linter.
 """
 
 import ast
@@ -10,7 +10,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "mrtrack").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+MODULES = sorted([
+    *(ROOT / "src" / "mrtrack").glob("*.py"),
+    *(ROOT / "scripts").glob("*.py"),
+    *(ROOT / "tests").glob("*.py"),
+])
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -8,6 +8,7 @@ import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from mrtrack.core import (
     TrackerConfig,
     rescale_packet_to_native,
 )
-from mrtrack.evaluation import GroundTruthFrame
+from mrtrack.evaluation import GroundTruthFrame, evaluate, rank_corpus
 from mrtrack.fileio import (
     load_detection_file,
     load_track_file,
@@ -341,34 +342,53 @@ class TestStepTracking:
 
 
 class TestNumpyScalarBoxes:
+    """Boxes of numpy scalars, as an API caller may build them, track and
+    score as their plain-float originals do."""
+
     def test_same_outputs_as_the_float_copy(self):
-        # synth's boxes hold numpy scalars; a loaded file's hold plain floats
-        _, emulate = generate(profile_scenario("cnn-like", seed=11, n_objects=12, frame_count=60))
+        gt_frames, emulate = generate(
+            profile_scenario("cnn-like", seed=11, n_objects=12, frame_count=60)
+        )
         stream = [
             rescale_packet_to_native(p)
             for p in interleave(emulate((320, 320)), emulate((192, 192)), 5)
         ]
-        floats = [
+        numpy_stream = [
             FramePacket(p.frame_index, p.inference_resolution, p.native_resolution, tuple(
-                Detection(BBox(*map(float, d.bbox.as_tuple())), d.class_id, float(d.conf))
+                Detection(BBox(*map(np.float64, d.bbox)), d.class_id, d.conf)
                 for d in p.detections
             ))
             for p in stream
         ]
-        assert type(stream[0].detections[0].bbox.x1) is not float
+        gts = {("s", g.frame_index): list(g.objects) for g in gt_frames}
+        numpy_gts = {
+            key: [(BBox(*map(np.float64, box)), cls) for box, cls in objects]
+            for key, objects in gts.items()
+        }
+        assert type(numpy_stream[0].detections[0].bbox.x1) is np.float64
+
+        def report(outputs_by_frame, gts):
+            keyed = {("s", t): list(outs) for t, outs in outputs_by_frame.items()}
+            return evaluate(rank_corpus(keyed, gts))
+
+        def detections(frames):
+            return {p.frame_index: p.detections for p in frames}
+
+        assert report(detections(numpy_stream), numpy_gts) == report(detections(stream), gts)
         cfg = preset_config("nanodet")
         for emit_coasted in (False, True):
             for rescore_enabled in (False, True):
                 runs = [
                     run_sequence(frames, cfg.tracker, cfg.rescore,
                                  rescore_enabled=rescore_enabled, emit_coasted=emit_coasted)
-                    for frames in (stream, floats)
+                    for frames in (numpy_stream, stream)
                 ]
                 (state, got), (float_state, want) = runs
                 assert got == want and sum(map(len, want.values())) > 0
                 assert [t.kf_state for t in state.active_tracks] == [
                     t.kf_state for t in float_state.active_tracks
                 ]
+                assert report(got, numpy_gts) == report(want, gts)
 
 
 # Each side log-uniform over the loader's range, [MIN_HEIGHT, MAX_COORDINATE]

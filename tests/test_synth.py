@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 from mrtrack.core import rescale_bbox
+from mrtrack.fileio import (
+    load_detection_file,
+    load_groundtruth_file,
+    save_detection_file,
+    save_groundtruth_file,
+)
 from mrtrack.synth import (
     DegradationLevel,
     SynthScenario,
@@ -189,6 +195,32 @@ class TestLoadableBoxes:
         _, emulate = generate(sc)
         with pytest.raises(ValueError, match=r"detections at \(192, 192\) frame 0: box"):
             emulate(LOW)
+
+
+class TestFileRoundTrip:
+    """``generate`` builds the records the loaders build: boxes of plain
+    floats, which a save and a load return unchanged."""
+
+    @pytest.mark.parametrize(
+        "profile, seed, frames",
+        [("cnn-like", 5, 40), ("vit-like", 4242, 300)],
+        ids=["determinism-corpus", "vit-like-4242"],
+    )
+    def test_load_of_save_equals_generated(self, tmp_path, profile, seed, frames):
+        gt_frames, emulate = generate(
+            profile_scenario(profile, seed=seed, n_objects=4, frame_count=frames)
+        )
+        gt = {"s": gt_frames}
+        save_groundtruth_file(tmp_path / "gt.jsonl", gt)
+        assert load_groundtruth_file(tmp_path / "gt.jsonl") == gt
+        boxes = [box for g in gt_frames for box, _ in g.objects]
+        for res in (FULL, LOW):
+            dets = {"s": emulate(res)}
+            path = tmp_path / f"detections_{res[0]}.jsonl"
+            save_detection_file(path, dets)
+            assert load_detection_file(path) == dets
+            boxes += [d.bbox for p in dets["s"] for d in p.detections]
+        assert all(type(v) is float for box in boxes for v in box)
 
 
 class TestProfiles:
