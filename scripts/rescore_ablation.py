@@ -10,18 +10,18 @@ three-row comparison at a fixed interleave factor.
 import argparse
 import sys
 
-from mrtrack.cli import sweep_reports, tracked_reports
+from mrtrack.cli import _parse_nonnegative, _parse_positive, sweep_reports, tracked_reports
 from mrtrack.core import rescale_packet_to_native, replace
-from mrtrack.fileio import load_run_config
+from mrtrack.fileio import PRESET_NAMES, load_run_config
 from mrtrack.synth import generate, profile_scenario
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--preset", default="nanodet")
-    parser.add_argument("--P", type=int, default=5)
-    parser.add_argument("--frames", type=int, default=240)
+    parser.add_argument("--seed", type=_parse_nonnegative, default=11)
+    parser.add_argument("--preset", choices=PRESET_NAMES, default="nanodet")
+    parser.add_argument("--P", type=_parse_nonnegative, default=5)
+    parser.add_argument("--frames", type=_parse_positive, default=240)
     args = parser.parse_args()
 
     cfg = load_run_config(preset=args.preset, P=args.P)

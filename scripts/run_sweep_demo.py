@@ -12,17 +12,17 @@ import argparse
 import sys
 from pathlib import Path
 
-from mrtrack.cli import main as mrtrack_main
-from mrtrack.fileio import save_scenario
+from mrtrack.cli import _parse_nonnegative, _parse_positive, main as mrtrack_main
+from mrtrack.fileio import PRESET_NAMES, save_scenario
 from mrtrack.synth import profile_scenario
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="sweep_demo", help="working directory")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--preset", default="nanodet")
-    parser.add_argument("--frames", type=int, default=240)
+    parser.add_argument("--seed", type=_parse_nonnegative, default=7)
+    parser.add_argument("--preset", choices=PRESET_NAMES, default="nanodet")
+    parser.add_argument("--frames", type=_parse_positive, default=240)
     args = parser.parse_args()
 
     out = Path(args.out)

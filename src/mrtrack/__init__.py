@@ -20,7 +20,8 @@ _EXPORTS = {
     "association": ("MatchResult", "iou_matrix", "match"),
     "core": (
         "BBox", "DEFAULT_EPSILON", "Detection", "FramePacket", "RescoreConfig",
-        "TrackerConfig", "clamp_conf", "iou", "rescale_bbox", "rescale_packet_to_native",
+        "TrackOutput", "TrackerConfig", "clamp_conf", "iou", "rescale_bbox",
+        "rescale_packet_to_native",
     ),
     "evaluation": (
         "GroundTruthFrame", "MetricsReport", "Ranked", "average_precision", "evaluate",
@@ -31,13 +32,11 @@ _EXPORTS = {
         "AttentionInput", "OpCounter", "attention_mac_ratio", "factored_linear_attention",
         "naive_relu_attention", "run_attention_checks",
     ),
-    "pipeline": (
-        "MacSummary", "ResolutionSchedule", "TrackerState", "is_full_res", "mean_mac",
-        "run_sequence", "step",
-    ),
+    "pipeline": ("TrackerState", "run_sequence", "step"),
     "rescore": ("RescoreDecision", "rescore_update"),
+    "schedule": ("MacSummary", "ResolutionSchedule", "is_full_res", "mean_mac"),
     "synth": ("DegradationLevel", "SynthScenario", "generate", "profile_scenario"),
-    "tracks": ("Track", "TrackOutput", "TrackStatus"),
+    "tracks": ("Track", "TrackStatus"),
 }
 _SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -31,7 +31,8 @@ from .fileio import (
     save_groundtruth_file,
     save_track_file,
 )
-from .pipeline import interleave, is_full_res, mean_mac, run_sequence
+from .pipeline import run_sequence
+from .schedule import interleave, is_full_res, mean_mac
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -53,7 +54,7 @@ def _ranged(convert, ok, expected: str):
     return parse
 
 
-_parse_P = _ranged(int, lambda P: P >= 0, "an int >= 0")
+_parse_nonnegative = _ranged(int, lambda n: n >= 0, "an int >= 0")
 _parse_positive = _ranged(int, lambda n: n > 0, "an int > 0")
 _parse_grid_step = _ranged(
     float, lambda step: GRID_STEP_RANGE[0] <= step <= GRID_STEP_RANGE[1],
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if with_p:
             p.add_argument(
-                "--P", type=_parse_P, help="low-res frames per full-res frame"
+                "--P", type=_parse_nonnegative, help="low-res frames per full-res frame"
             )
         p.add_argument(
             "--emit-coasted",
@@ -484,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--P-values",
         dest="P_values",
-        type=lambda spec: _parse_int_list(spec, _parse_P),
+        type=lambda spec: _parse_int_list(spec, _parse_nonnegative),
         default=[0, 1, 2, 3, 4, 5],
         help="comma-separated P values (default 0,1,2,3,4,5)",
     )
@@ -498,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument(
         "--P",
-        type=_parse_P,
+        type=_parse_nonnegative,
         help="also write an interleaved detection file for this P",
     )
     p.set_defaults(func=cmd_synth)
@@ -512,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_parse_positive, default=16)
     p.add_argument("--trials", type=_parse_positive, default=100)
     p.add_argument("--tol", type=_parse_tol, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_nonnegative, default=0)
     p.set_defaults(func=cmd_attn_check)
 
     return parser

@@ -149,6 +149,15 @@ class FramePacket(NamedTuple):
                 raise ValueError(f"non-positive resolution: {res}")
 
 
+class TrackOutput(NamedTuple):
+    """One emitted track observation: id, motion-refined box, class, confidence."""
+
+    track_id: int
+    bbox: BBox
+    class_id: int
+    conf: float
+
+
 @checked
 class TrackerConfig(NamedTuple):
     """Association and lifecycle thresholds for the two-pass tracker."""

@@ -29,14 +29,14 @@ from .core import (
     RescoreConfig,
     Resolution,
     TrackerConfig,
+    TrackOutput,
     check_detection_box,
     clamp_conf,
     out_of_bounds,
     replace,
 )
 from .evaluation import GroundTruthFrame, MetricsReport
-from .pipeline import ResolutionSchedule
-from .tracks import TrackOutput
+from .schedule import ResolutionSchedule
 
 if TYPE_CHECKING:  # pragma: no cover
     from .synth import SynthScenario

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
 from .core import BBox, Detection
 from .kalman import KalmanState, kf_init, state_bbox
@@ -86,12 +85,3 @@ class Track:
             or self.frames_since_update >= tau_dead
         ):
             self.status = TrackStatus.REMOVED
-
-
-class TrackOutput(NamedTuple):
-    """One emitted track observation: id, motion-refined box, class, confidence."""
-
-    track_id: int
-    bbox: BBox
-    class_id: int
-    conf: float

@@ -33,8 +33,9 @@ from mrtrack.linattn import (
     naive_relu_attention,
     random_attention_input,
 )
-from mrtrack.pipeline import ResolutionSchedule, interleave, mean_mac, run_sequence
+from mrtrack.pipeline import run_sequence
 from mrtrack.rescore import rescore_update
+from mrtrack.schedule import ResolutionSchedule, interleave, mean_mac
 from mrtrack.synth import generate, profile_scenario
 from mrtrack.tracks import Track
 

@@ -27,7 +27,7 @@ from mrtrack.fileio import (
     save_scenario,
 )
 from mrtrack.evaluation import GroundTruthFrame
-from mrtrack.pipeline import ResolutionSchedule
+from mrtrack.schedule import ResolutionSchedule
 from mrtrack.synth import DegradationLevel, SynthScenario, profile_scenario
 
 FULL = (320, 320)
@@ -255,6 +255,22 @@ class TestStartup:
         loaded = self._run_main([*argv, "--config", str(config), "--out", str(out)])
         assert "'dataclasses'" not in loaded and "'mrtrack.synth'" not in loaded, loaded
         assert out.stat().st_size > 0
+
+
+class TestImportLayers:
+    """The file codec, the schedule, the evaluator and the emulator stand apart
+    from the tracker: importing one loads none of the tracker's modules. One
+    fresh interpreter per module."""
+
+    TRACKER = {f"mrtrack.{name}" for name in
+               ("pipeline", "association", "kalman", "tracks", "rescore")}
+
+    @pytest.mark.parametrize("module", ["fileio", "schedule", "evaluation", "synth"])
+    def test_loads_no_tracker_module(self, module):
+        proc = _python("-c", f"import sys, mrtrack.{module}\n"
+                             f"print(sorted({self.TRACKER!r} & set(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestLazyPackage:
@@ -616,10 +632,11 @@ class TestArgumentChecks:
             ["attn-check", "--tol", "-1"],
             ["sweep", "f.jsonl", "l.jsonl", "g.jsonl", "--P-values", "1,x"],
             ["attn-check", "--n-values", "1,x"],
+            ["attn-check", "--seed", "-1"],
         ],
         ids=["track-P", "synth-P", "sweep-P-values", "grid-step-0", "grid-step-nan",
              "grid-step-under-floor", "threshold-nan", "tol-nan", "tol-negative",
-             "sweep-P-values-not-int", "n-values-not-int"],
+             "sweep-P-values-not-int", "n-values-not-int", "attn-check-seed-negative"],
     )
     def test_rejected_at_parse_time(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -19,7 +19,7 @@ from mrtrack.core import (
     rescale_bbox,
     rescale_packet_to_native,
 )
-from mrtrack.pipeline import ResolutionSchedule
+from mrtrack.schedule import ResolutionSchedule
 from mrtrack.synth import DegradationLevel, SynthScenario
 
 coords = st.floats(min_value=-500, max_value=500, allow_nan=False)

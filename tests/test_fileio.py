@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mrtrack.cli import main
-from mrtrack.core import BBox, Detection, FramePacket
+from mrtrack.core import BBox, Detection, FramePacket, TrackOutput
 from mrtrack.evaluation import GroundTruthFrame
 from mrtrack.fileio import (
     FileFormatError,
@@ -30,7 +30,6 @@ from mrtrack.fileio import (
     save_track_file,
 )
 from mrtrack.synth import DegradationLevel, SynthScenario, profile_scenario
-from mrtrack.tracks import TrackOutput
 
 
 def _packets():

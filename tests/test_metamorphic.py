@@ -65,7 +65,8 @@ from mrtrack.cli import main
 from mrtrack.core import BBox, Detection, FramePacket, TrackerConfig, rescale_packet_to_native
 from mrtrack.evaluation import GroundTruthFrame, evaluate, f1_max_threshold, rank_corpus
 from mrtrack.fileio import load_track_file, save_detection_file, save_groundtruth_file
-from mrtrack.pipeline import interleave, run_sequence
+from mrtrack.pipeline import run_sequence
+from mrtrack.schedule import interleave
 from mrtrack.synth import generate, profile_scenario
 
 # the nanodet preset's thresholds

@@ -36,15 +36,8 @@ from mrtrack.fileio import (
     save_track_file,
 )
 from mrtrack.kalman import kf_predict, state_corners
-from mrtrack.pipeline import (
-    ResolutionSchedule,
-    TrackerState,
-    interleave,
-    is_full_res,
-    mean_mac,
-    run_sequence,
-    step,
-)
+from mrtrack.pipeline import TrackerState, run_sequence, step
+from mrtrack.schedule import ResolutionSchedule, interleave, is_full_res, mean_mac
 from mrtrack.synth import generate, profile_scenario
 from mrtrack.tracks import TrackStatus
 

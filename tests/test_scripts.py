@@ -1,4 +1,5 @@
-"""Smoke tests of the example scripts: each runs to exit 0 and prints its table."""
+"""Smoke tests of the example scripts: each runs to exit 0 and prints its table,
+and rejects an out-of-range flag as a usage error before writing anything."""
 
 import runpy
 import sys
@@ -11,16 +12,16 @@ from mrtrack import evaluation
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _run(monkeypatch, capsys, name, *argv):
+def _run(monkeypatch, capsys, name, *argv, code=0):
     monkeypatch.setattr(sys, "argv", [name, *argv])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(SCRIPTS / name), run_name="__main__")
-    assert exc.value.code == 0
-    return capsys.readouterr().out
+    assert exc.value.code == code
+    return capsys.readouterr()
 
 
 def test_rescore_ablation(monkeypatch, capsys):
-    out = _run(monkeypatch, capsys, "rescore_ablation.py", "--frames", "40")
+    out = _run(monkeypatch, capsys, "rescore_ablation.py", "--frames", "40").out
     assert "method                 mAP    prec  recall      F1" in out
     assert "rescored tracking" in out
 
@@ -38,6 +39,23 @@ def test_rescore_ablation_matches_each_report_once(monkeypatch, capsys):
 
 def test_run_sweep_demo(monkeypatch, capsys, tmp_path):
     out = _run(monkeypatch, capsys, "run_sweep_demo.py", "--frames", "40",
-               "--out", str(tmp_path / "demo"))
+               "--out", str(tmp_path / "demo")).out
     assert "  P  method     mAP     precision  recall  F1      MMAC     savings" in out
     assert (tmp_path / "demo" / "sweep.jsonl").stat().st_size > 0
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    ("rescore_ablation.py", "--P", "-1"),
+    ("rescore_ablation.py", "--frames", "0"),
+    ("rescore_ablation.py", "--seed", "-1"),
+    ("rescore_ablation.py", "--preset", "bogus"),
+    ("run_sweep_demo.py", "--frames", "0"),
+    ("run_sweep_demo.py", "--seed", "-1"),
+    ("run_sweep_demo.py", "--preset", "bogus"),
+])
+def test_bad_flag_is_a_usage_error(monkeypatch, capsys, tmp_path, name, flag, value):
+    # run_sweep_demo.py writes under its --out, by default a directory in the cwd
+    monkeypatch.chdir(tmp_path)
+    err = _run(monkeypatch, capsys, name, flag, value, code=2).err
+    assert "usage:" in err and f"argument {flag}:" in err
+    assert list(tmp_path.iterdir()) == []
