@@ -3,28 +3,44 @@
 Runs, in-process through ``mrtrack.cli.main``, the same commands on each of
 four synthetic corpora (the determinism corpus and the benchmark's three
 shapes): ``synth --P 5``; ``track --preset nanodet --P 5 --emit-coasted``
-with and without ``--no-rescore``; ``eval`` at ``f1max`` and ``fixed:0.5``,
-each with ``--out``, of both track files and of the full-res detections;
-and ``sweep --preset nanodet --emit-coasted --out``. Each command's stdout,
-with the corpus's temporary root replaced by ``<root>``, and every file it
-writes are hashed. ``tests/test_golden.py`` compares the digests with the
-committed ``tests/golden.json``.
+with and without ``--no-rescore``; ``eval`` at ``f1max``, ``fixed:0.5`` and
+``fixed:0``, each with ``--out``, of both track files and of the full-res
+detections; and ``sweep --preset nanodet --emit-coasted --out``. The first
+corpus also runs, once, ``attn-check``, ``eval --help`` and ``sweep --help``
+(at 80 columns). Each command's stdout, with the corpus's temporary root
+replaced by ``<root>``, and every file it writes are hashed.
+``tests/test_golden.py`` compares the digests with the committed
+``tests/golden.json``.
 
 Rewrite that file, after a change meant to alter outputs, with::
 
     PYTHONPATH=src python tests/make_golden.py
+
+To see which line of which output two trees differ in, where a digest only
+says that it differs, dump the outputs themselves in each tree and compare::
+
+    PYTHONPATH=src python tests/make_golden.py --dump DIR
+
+writes, under ``DIR/<corpus>/``, every file the commands write, at its path
+under the corpus's root, and each command's stdout (root replaced) as
+``stdout/<NN>_<subcommand>.txt``, headed by the command line; then
+``diff -r`` of two such directories names the first differing line.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
+import os
 import platform
+import shutil
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy
 
@@ -49,7 +65,7 @@ def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": numpy.__version__}
 
 
-def _commands():
+def _commands(corpus_name: str):
     """(argv, with ``{root}`` for the corpus's directory), in run order."""
     corpus = "{root}/corpus"
     full, low, gt = (f"{corpus}/{name}" for name in (
@@ -60,46 +76,91 @@ def _commands():
         yield ["track", f"{corpus}/detections_P5.jsonl", "--preset", "nanodet", "--P", "5",
                "--emit-coasted", *flags, "--out", f"{{root}}/tracks_{name}.jsonl"]
     for predictions in (*(f"{{root}}/tracks_{name}.jsonl" for name in tracks), full):
-        for threshold in ("f1max", "fixed:0.5"):
+        for threshold in ("f1max", "fixed:0.5", "fixed:0"):
             out = f"{{root}}/eval_{Path(predictions).stem}_{threshold.replace(':', '')}.json"
             yield ["eval", predictions, gt, "--threshold", threshold, "--out", out]
     yield ["sweep", full, low, gt, "--preset", "nanodet", "--emit-coasted",
            "--out", "{root}/sweep.jsonl"]
+    if corpus_name == next(iter(CORPORA)):
+        yield ["attn-check"]
+        yield ["eval", "--help"]
+        yield ["sweep", "--help"]
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def run_corpus(name: str, root: Path):
+    """Run the command set for one corpus under ``root``. Yields, per command,
+    (label, exit code, stderr, stdout, paths of the files it wrote), with the
+    root replaced by ``<root>`` in the texts; the scenario file comes first,
+    as the output of ``save_scenario``, with no stdout. Help is formatted at
+    80 columns whatever the terminal."""
+    save_scenario(root / "scenario.yaml", profile_scenario(**CORPORA[name]))
+    yield "save_scenario", 0, "", None, [root / "scenario.yaml"]
+    seen = set(root.rglob("*"))
+    for template in _commands(name):
+        argv = [arg.replace("{root}", str(root)) for arg in template]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                mock.patch.dict(os.environ, COLUMNS="80"):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # --help exits through argparse
+                code = exc.code
+        # every file a command writes is new: no command overwrites another's
+        new = sorted(set(root.rglob("*")) - seen)
+        seen.update(new)
+        yield (
+            " ".join(template).replace("{root}/", ""),
+            code,
+            err.getvalue().strip().replace(str(root), "<root>"),
+            out.getvalue().replace(str(root), "<root>"),
+            [path for path in new if path.is_file()],
+        )
+
+
 def corpus_digests(name: str, root: Path) -> tuple[dict[str, str], list[str]]:
     """``"<command> | <output>"`` -> digest for one corpus, run under ``root``:
     an output is ``stdout`` or the path, under ``root``, of a file the command
-    wrote. The scenario file is hashed as the output of ``save_scenario``.
-    Also returns a line per command that exited non-zero, with its stderr;
-    the later commands still run, so the outputs that differ are all listed."""
-    save_scenario(root / "scenario.yaml", profile_scenario(**CORPORA[name]))
-    digests = {"save_scenario | scenario.yaml": _sha256((root / "scenario.yaml").read_bytes())}
-    seen, failures = {root / "scenario.yaml"}, []
-    for template in _commands():
-        argv = [arg.replace("{root}", str(root)) for arg in template]
-        label = " ".join(template).replace("{root}/", "")
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
+    wrote. Also returns a line per command that exited non-zero, with its
+    stderr; the later commands still run, so the outputs that differ are all
+    listed."""
+    digests, failures = {}, []
+    for label, code, stderr, stdout, written in run_corpus(name, root):
         if code != 0:
-            stderr = err.getvalue().strip().replace(str(root), "<root>")
             failures.append(f"`{label}` exited {code}: {stderr}")
-        stdout = out.getvalue().replace(str(root), "<root>")
-        digests[f"{label} | stdout"] = _sha256(stdout.encode())
-        # every file a command writes is new: no command overwrites another's
-        for path in sorted(set(root.rglob("*")) - seen):
-            if path.is_file():
-                digests[f"{label} | {path.relative_to(root)}"] = _sha256(path.read_bytes())
-            seen.add(path)
+        if stdout is not None:
+            digests[f"{label} | stdout"] = _sha256(stdout.encode())
+        for path in written:
+            digests[f"{label} | {path.relative_to(root)}"] = _sha256(path.read_bytes())
     return digests, failures
 
 
-def main() -> int:
+def dump(out: Path) -> None:
+    """Write every corpus's outputs under ``out/<corpus>/`` (module docstring)."""
+    for name in CORPORA:
+        with tempfile.TemporaryDirectory() as tmp:
+            root, stdouts = Path(tmp), out / name / "stdout"
+            stdouts.mkdir(parents=True)
+            for k, (label, code, stderr, stdout, _) in enumerate(run_corpus(name, root)):
+                if stdout is not None:
+                    tail = f"exited {code}: {stderr}\n" if code != 0 else ""
+                    path = stdouts / f"{k:02d}_{label.split()[0]}.txt"
+                    path.write_text(f"$ {label}\n{stdout}{tail}", encoding="utf-8")
+            shutil.copytree(root, out / name, dirs_exist_ok=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="write the outputs under DIR instead of golden.json")
+    args = parser.parse_args(argv)
+    if args.dump is not None:
+        dump(args.dump)
+        print(f"wrote the outputs of {len(CORPORA)} corpora under {args.dump}")
+        return 0
     golden = {**versions(), "digests": {}}
     for name in CORPORA:
         with tempfile.TemporaryDirectory() as tmp:
