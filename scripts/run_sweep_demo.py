@@ -26,7 +26,10 @@ def main() -> int:
     args = parser.parse_args()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path, or a file on the way to it
+        parser.error(f"argument --out: cannot create directory {out}: {exc.strerror}")
     scenario_path = out / "scenario.yaml"
     save_scenario(
         scenario_path,

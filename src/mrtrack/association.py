@@ -22,6 +22,10 @@ class MatchResult(NamedTuple):
     unmatched_trackers: tuple[int, ...]
 
 
+# builds a record from one tuple of its values; MatchResult has no checks
+_record = tuple.__new__
+
+
 # The one size rule of both association steps: a frame of at most this many
 # detection-track pairs takes the plain-Python path of ``iou_matrix``
 # (``_iou_scalar``) and of ``match`` (``_best_scalar``), a larger one the
@@ -132,6 +136,11 @@ def match(cost_matrix: np.ndarray, tau_iou: float) -> MatchResult:
     entry never feasible. The feasibility array the components need is
     built only when two detections want the same tracker.
 
+    The result is assembled once, from one set of the chosen trackers that
+    serves both the conflict test and ``unmatched_trackers``. Both helpers
+    give the detections in ascending order, so the matches are re-sorted, and
+    the set rebuilt, only after a component solve has rewritten them.
+
     Ties are broken by index. A detection whose best IoU is shared by several
     trackers wants the lowest-index one. Inside a solved component the costs
     carry a perturbation of ``(i * m + j) * 1e-10 / (n * m)``, which prefers
@@ -149,12 +158,13 @@ def match(cost_matrix: np.ndarray, tau_iou: float) -> MatchResult:
     """
     n, m = cost_matrix.shape
     if n == 0 or m == 0:
-        return MatchResult((), tuple(range(n)), tuple(range(m)))
+        return _record(MatchResult, ((), tuple(range(n)), tuple(range(m))))
     if n * m <= SCALAR_MAX_CELLS:
         chosen = _best_scalar(cost_matrix, tau_iou)
     else:
         chosen = _best_numpy(cost_matrix, tau_iou)
-    if len(set(chosen.values())) < len(chosen):
+    matched_t = set(chosen.values())
+    if len(matched_t) < len(chosen):
         feasible = cost_matrix >= tau_iou
         wanted = Counter(chosen.values())
         contested = [i for i, j in chosen.items() if wanted[j] > 1]
@@ -162,14 +172,15 @@ def match(cost_matrix: np.ndarray, tau_iou: float) -> MatchResult:
             for i in rows:
                 del chosen[i]
             chosen.update(_solve_component(cost_matrix, tau_iou, rows, cols))
+        # the solves appended their pairs; the helpers filled rows in order
+        chosen = dict(sorted(chosen.items()))
+        matched_t = set(chosen.values())
 
-    matches = sorted(chosen.items())
-    matched_t = set(chosen.values())
-    return MatchResult(
-        tuple(matches),
+    return _record(MatchResult, (
+        tuple(chosen.items()),
         tuple(i for i in range(n) if i not in chosen),
         tuple(j for j in range(m) if j not in matched_t),
-    )
+    ))
 
 
 def _best_scalar(cost_matrix: np.ndarray, tau_iou: float) -> dict[int, int]:

@@ -1,5 +1,6 @@
 """Smoke tests of the example scripts: each runs to exit 0 and prints its table,
-and rejects an out-of-range flag as a usage error before writing anything."""
+and rejects an out-of-range flag, or an ``--out`` no directory can be made at,
+as a usage error before writing anything."""
 
 import runpy
 import sys
@@ -59,3 +60,16 @@ def test_bad_flag_is_a_usage_error(monkeypatch, capsys, tmp_path, name, flag, va
     err = _run(monkeypatch, capsys, name, flag, value, code=2).err
     assert "usage:" in err and f"argument {flag}:" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_unusable_out_is_a_usage_error(monkeypatch, capsys, tmp_path, out):
+    # --out names an existing file, or a path through one: nothing is written
+    (tmp_path / "taken").write_text("kept")
+    err = _run(monkeypatch, capsys, "run_sweep_demo.py", "--out", str(tmp_path / out),
+               code=2).err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "Traceback" not in err
+    assert f"argument --out: cannot create directory {tmp_path / out}: " in errors[0]
+    assert list(tmp_path.iterdir()) == [tmp_path / "taken"]
+    assert (tmp_path / "taken").read_text() == "kept"
