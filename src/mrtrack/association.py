@@ -136,10 +136,11 @@ def match(cost_matrix: np.ndarray, tau_iou: float) -> MatchResult:
     entry never feasible. The feasibility array the components need is
     built only when two detections want the same tracker.
 
-    The result is assembled once, from one set of the chosen trackers that
-    serves both the conflict test and ``unmatched_trackers``. Both helpers
-    give the detections in ascending order, so the matches are re-sorted, and
-    the set rebuilt, only after a component solve has rewritten them.
+    Every part of the result is in ascending order, and it is assembled
+    once: one set of the chosen trackers serves both the conflict test and
+    ``unmatched_trackers``, and as both helpers give the detections in
+    ascending order, the matches are re-sorted, and the set rebuilt, only
+    after a component solve has rewritten them.
 
     Ties are broken by index. A detection whose best IoU is shared by several
     trackers wants the lowest-index one. Inside a solved component the costs
@@ -176,10 +177,11 @@ def match(cost_matrix: np.ndarray, tau_iou: float) -> MatchResult:
         chosen = dict(sorted(chosen.items()))
         matched_t = set(chosen.values())
 
+    # a side whose indices are all matched skips its scan
     return _record(MatchResult, (
         tuple(chosen.items()),
-        tuple(i for i in range(n) if i not in chosen),
-        tuple(j for j in range(m) if j not in matched_t),
+        tuple([i for i in range(n) if i not in chosen]) if len(chosen) < n else (),
+        tuple([j for j in range(m) if j not in matched_t]) if len(matched_t) < m else (),
     ))
 
 

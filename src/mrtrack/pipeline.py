@@ -124,7 +124,8 @@ def step(
         and (t.frames_since_update == 0 or emit_coasted)
     ]
 
-    state.active_tracks = [t for t in tracks if t.status is not REMOVED]
+    if left:  # only a miss removes a track
+        state.active_tracks = [t for t in tracks if t.status is not REMOVED]
     state.frame_index = frame.frame_index
     return state, outputs
 

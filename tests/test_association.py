@@ -151,6 +151,15 @@ class TestMatch:
             assert det_seen == list(range(n))
             assert trk_seen == list(range(m))
 
+    def test_matches_ascend_after_a_component_solve(self):
+        # rows 0 and 2 both want tracker 0, so their component is solved;
+        # row 1 keeps its tracker and sits between them
+        m = np.array([[0.9, 0.0, 0.0], [0.0, 0.8, 0.0], [0.7, 0.0, 0.0]])
+        r = match(m, 0.3)
+        assert r.matches == ((0, 0), (1, 1))
+        assert r.unmatched_detections == (2,)
+        assert r.unmatched_trackers == (2,)
+
     def test_no_match_below_gate(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
