@@ -21,10 +21,11 @@ says that it differs, dump the outputs themselves in each tree and compare::
 
     PYTHONPATH=src python tests/make_golden.py --dump DIR
 
-writes, under ``DIR/<corpus>/``, every file the commands write, at its path
-under the corpus's root, and each command's stdout (root replaced) as
-``stdout/<NN>_<subcommand>.txt``, headed by the command line; then
-``diff -r`` of two such directories names the first differing line.
+makes ``DIR``, which must not exist, and writes under ``DIR/<corpus>/``
+every file the commands write, at its path under the corpus's root, and
+each command's stdout (root replaced) as ``stdout/<NN>_<subcommand>.txt``,
+headed by the command line; then ``diff -r`` of two such directories names
+the first differing line.
 """
 
 from __future__ import annotations
@@ -155,9 +156,14 @@ def dump(out: Path) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", type=Path, metavar="DIR",
-                        help="write the outputs under DIR instead of golden.json")
+                        help="write the outputs under DIR, a new directory, "
+                             "instead of golden.json")
     args = parser.parse_args(argv)
     if args.dump is not None:
+        try:
+            args.dump.mkdir(parents=True)
+        except OSError as exc:  # an earlier dump there would mix with this one
+            parser.error(f"--dump: cannot make a new directory {args.dump}: {exc.strerror}")
         dump(args.dump)
         print(f"wrote the outputs of {len(CORPORA)} corpora under {args.dump}")
         return 0

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from make_golden import CORPORA, GOLDEN, corpus_digests, versions
+from make_golden import CORPORA, GOLDEN, corpus_digests, main, versions
 
 _GOLDEN = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -36,3 +36,12 @@ def test_outputs_match_the_golden_digests(name, tmp_path):
         elif actual[key] != expected[key]:
             problems.append(f"`{command}`: {output} differs")
     assert not problems, f"{name} corpus:\n" + "\n".join(problems)
+
+
+def test_dump_refuses_an_existing_directory(tmp_path, capsys):
+    # a dump into a directory that holds one would mix two trees' outputs
+    with pytest.raises(SystemExit) as exc:
+        main(["--dump", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"--dump: cannot make a new directory {tmp_path}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
